@@ -10,7 +10,7 @@ import tempfile
 
 import numpy as np
 
-from forecast_uq.data import GeneratorConfig, feature_matrix, generate_synthetic, make_dataset
+from forecast_uq.data import GeneratorConfig, generate_synthetic, make_dataset
 from forecast_uq.models import (
     ModelSpec,
     TrainConfig,
@@ -34,9 +34,8 @@ config = GeneratorConfig(
     seed=0,
 )
 dataset = make_dataset(generate_synthetic(config))
-held = generate_synthetic(config, seed=1)
-x, y = feature_matrix(make_dataset(held))
-true_scale = np.array([s.true_scale for s in held])
+held = make_dataset(generate_synthetic(config, seed=1))
+x, y, true_scale = held.x, held.y, held.true_scale
 print(f"{len(dataset)} training series, true noise scale spans "
       f"[{true_scale.min():.2f}, {true_scale.max():.2f}]")
 

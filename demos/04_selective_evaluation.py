@@ -10,7 +10,7 @@ import tempfile
 
 import numpy as np
 
-from forecast_uq.data import GeneratorConfig, feature_matrix, generate_synthetic, make_dataset
+from forecast_uq.data import GeneratorConfig, generate_synthetic, make_dataset
 from forecast_uq.models import (
     ModelSpec,
     TrainConfig,
@@ -43,13 +43,13 @@ config = GeneratorConfig(
     seed=0,
 )
 dataset = make_dataset(generate_synthetic(config))
-held = generate_synthetic(config, seed=1)
-x, y = feature_matrix(make_dataset(held))
+held = make_dataset(generate_synthetic(config, seed=1))
+x, y = held.x, held.y
 
 model = build(ModelSpec.default("dense", "heteroscedastic", 14, desk=True), seed=0)
 model, _ = train(model, dataset, TrainConfig(seed=0))
 y_hat, scale_hat = predict(model, x)
-variance = np.array([input_variance_score(s) for s in held])
+variance = input_variance_score(held.values)
 
 learned = make_records(y, y_hat, scale_hat)
 proxy = make_records(y, y_hat, variance)
@@ -88,7 +88,6 @@ with tempfile.TemporaryDirectory() as tmp:
 #    every (predictor, score) pair the same way.
 
 for kind in ("mean", "last", "zero"):
-    y_base = np.array([baseline_predict(kind, s) for s in held])
-    readout = keep_grid_readout(make_records(y, y_base, variance))
+    readout = keep_grid_readout(make_records(y, baseline_predict(kind, held.values), variance))
     print(f"baseline {kind:>5}: mae at keep 25% {readout[0.25]:8.3f}, "
           f"at 100% {readout[1.0]:8.3f}")

@@ -11,12 +11,9 @@ from .cluster import ClusterResult, kmeans
 from .data import (
     DEFAULT_STD_THRESHOLD,
     Dataset,
-    Example,
-    FeatureVector,
     GeneratorConfig,
     RawSeries,
     center_scale_normalize,
-    feature_matrix,
     featurize,
     generate_synthetic,
     make_dataset,
@@ -40,7 +37,6 @@ from .models import (
     MC_DROPOUT_P,
     Model,
     ModelSpec,
-    PredictionRecord,
     TrainConfig,
     baseline_predict,
     build,
@@ -55,6 +51,7 @@ from .selective import (
     KEEP_GRID,
     CurvePoint,
     ErrorKeepCurve,
+    PredictionRecords,
     error_keep_curve,
     error_score_correlation,
     keep_grid_readout,
@@ -80,14 +77,12 @@ __all__ = [
     "DEFAULT_STD_THRESHOLD",
     "Dataset",
     "ErrorKeepCurve",
-    "Example",
-    "FeatureVector",
     "GeneratorConfig",
     "KEEP_GRID",
     "MC_DROPOUT_P",
     "Model",
     "ModelSpec",
-    "PredictionRecord",
+    "PredictionRecords",
     "RawSeries",
     "ScaleSpec",
     "ShapeError",
@@ -99,7 +94,6 @@ __all__ = [
     "elu_plus_one",
     "error_keep_curve",
     "error_score_correlation",
-    "feature_matrix",
     "featurize",
     "generate_synthetic",
     "input_variance_score",

@@ -24,7 +24,6 @@ from .data import (
     DEFAULT_STD_THRESHOLD,
     GeneratorConfig,
     center_scale_normalize,
-    feature_matrix,
     generate_synthetic,
     make_dataset,
     read_series_csv,
@@ -48,6 +47,7 @@ from .models import (
 )
 from .selective import (
     KEEP_GRID,
+    PredictionRecords,
     error_keep_curve,
     error_score_correlation,
     keep_grid_readout,
@@ -189,8 +189,7 @@ def _train_job(spec_dict: dict, train_dict: dict, data_path: str, std_threshold:
 
 
 def cmd_train(run: RunConfig, data_path, out_dir, jobs: int = 1) -> list[str]:
-    series = read_series_csv(data_path)
-    input_dim = series[0].length + 2
+    input_dim = read_series_csv(data_path).length + 2
     grid = run.models or tuple((b, u) for b in BACKBONES for u in UNCERTAINTIES)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -252,16 +251,16 @@ def _model_scores(model, x, y, var_scores, run: RunConfig):
 
 def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filter=None) -> dict:
     dataset = make_dataset(read_series_csv(data_path), run.std_threshold)
-    x, y = feature_matrix(dataset)
-    var_scores = np.array([input_variance_score(ex.raw) for ex in dataset.examples])
+    x, y = dataset.x, dataset.y
+    var_scores = input_variance_score(dataset.values)
     os.makedirs(out_dir, exist_ok=True)
 
     rows: dict[str, dict[float, dict]] = {}
-    het_records: dict[str, dict[int, list]] = {}
+    het_records: dict[str, dict[int, PredictionRecords]] = {}
 
     groups = _load_checkpoints(checkpoints_dir, seeds_filter)
     for (backbone, uncertainty), by_seed in sorted(groups.items()):
-        per_score: dict[str, dict[int, list]] = {}
+        per_score: dict[str, dict[int, PredictionRecords]] = {}
         for seed in sorted(by_seed):
             model = by_seed[seed]
             for score_name, records in _model_scores(model, x, y, var_scores, run):
@@ -287,8 +286,7 @@ def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filt
                 het_records[row_name] = by_seed_records
 
     for kind in BASELINES:
-        y_hat = np.array([baseline_predict(kind, ex.raw) for ex in dataset.examples])
-        records = make_records(y, y_hat, var_scores)
+        records = make_records(y, baseline_predict(kind, dataset.values), var_scores)
         row_name = f"baseline_{kind}+input_variance"
         readout = keep_grid_readout(records)
         rows[row_name] = {
@@ -326,7 +324,7 @@ def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filt
 
 def cmd_cluster(run: RunConfig, data_path, out_dir, seed: int) -> None:
     series = read_series_csv(data_path)
-    normalized = np.stack([center_scale_normalize(s.values, run.std_threshold) for s in series])
+    normalized = center_scale_normalize(series.values, run.std_threshold)
     result = kmeans(normalized, run.k, seed=seed)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -340,8 +338,7 @@ def cmd_cluster(run: RunConfig, data_path, out_dir, seed: int) -> None:
     assignments_path = os.path.join(out_dir, "assignments.csv")
     with open(assignments_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("series_index,cluster\n")
-        for i, cluster in enumerate(result.assignments):
-            fh.write(f"{i},{int(cluster)}\n")
+        fh.writelines(f"{i},{cluster}\n" for i, cluster in enumerate(result.assignments.tolist()))
 
     summary = {
         "schema_version": 1,
@@ -398,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=data_required, help="dataset CSV")
         p.add_argument("--out", help=f"output location (default from ${OUT_ENV_VAR})")
         p.add_argument("--seeds", type=_parse_seeds, help="comma-separated seed list")
-        p.add_argument("--jobs", type=int, default=1, help="parallel training jobs")
 
     p = sub.add_parser("generate", help="write a synthetic dataset CSV")
     common(p, data_required=False)
@@ -407,6 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the model grid on a dataset")
     common(p, data_required=True)
     p.add_argument("--desk", action="store_true", help="small architecture profile")
+    p.add_argument("--jobs", type=int, default=1, help="parallel training jobs")
     p.set_defaults(func=_main_train)
 
     p = sub.add_parser("evaluate", help="selective-prediction comparison matrix")

@@ -22,9 +22,16 @@ class ClusterResult:
     n_iter: int
 
 
+# Rows per distance block: bounds the (rows, k, T) difference temporary.
+DISTANCE_BLOCK_ROWS = 1024
+
+
 def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centroids[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    out = np.empty((points.shape[0], centroids.shape[0]))
+    for start in range(0, points.shape[0], DISTANCE_BLOCK_ROWS):
+        diff = points[start : start + DISTANCE_BLOCK_ROWS, None, :] - centroids[None, :, :]
+        out[start : start + DISTANCE_BLOCK_ROWS] = np.einsum("nkd,nkd->nk", diff, diff)
+    return out
 
 
 def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,10 +19,8 @@ on.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,12 +30,9 @@ __all__ = [
     "DEFAULT_STD_THRESHOLD",
     "FAMILIES",
     "Dataset",
-    "Example",
-    "FeatureVector",
     "GeneratorConfig",
     "RawSeries",
     "center_scale_normalize",
-    "feature_matrix",
     "featurize",
     "generate_synthetic",
     "make_dataset",
@@ -52,127 +47,96 @@ FAMILIES = ("periodic", "spikes", "trend", "noise")
 
 NOISE_LAWS = ("constant", "uniform", "amplitude_linear")
 
-SPLIT_TAGS = ("train", "validation", "test")
-
 
 @dataclass(frozen=True)
 class RawSeries:
-    """One observed window plus its target (the next value).
+    """N observed windows of T values, plus each window's target (the next value).
 
-    ``true_scale`` is the ground-truth Laplace noise scale when the
-    series is synthetic, ``None`` for external data.
+    ``values`` is (N, T) and ``target`` is (N,). ``true_scale`` is the
+    (N,) ground-truth Laplace noise scale when the series are synthetic,
+    ``None`` for external data.
     """
 
     values: np.ndarray
-    target: float
-    true_scale: float | None = None
+    target: np.ndarray
+    true_scale: np.ndarray | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
+        target = np.asarray(self.target, dtype=np.float64)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "target", float(self.target))
-        if values.ndim != 1 or values.size < 2:
-            raise ValueError("series needs at least 2 values")
-        if not np.all(np.isfinite(values)) or not np.isfinite(self.target):
-            raise ValueError("series values and target must be finite")
+        object.__setattr__(self, "target", target)
+        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 2:
+            raise ValueError(f"need at least 1 series of at least 2 values, got shape {values.shape}")
+        if target.shape != values.shape[:1]:
+            raise ValueError(f"need one target per series, got shape {target.shape}")
+        if not (np.isfinite(values).all() and np.isfinite(target).all()):
+            raise ValueError("series values and targets must be finite")
         if self.true_scale is not None:
-            scale = float(self.true_scale)
-            if not np.isfinite(scale) or scale < 0.0:
+            scale = np.asarray(self.true_scale, dtype=np.float64)
+            if scale.shape != target.shape:
+                raise ValueError(f"need one true_scale per series, got shape {scale.shape}")
+            if not (np.isfinite(scale).all() and (scale >= 0.0).all()):
                 raise ValueError("true_scale must be finite and nonnegative")
             object.__setattr__(self, "true_scale", scale)
 
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
     @property
     def length(self) -> int:
-        return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Normalized series values plus the raw mean and std attributes."""
-
-    normalized: np.ndarray
-    mean: float
-    std: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "normalized", np.asarray(self.normalized, dtype=np.float64))
-        if self.std < 0.0:
-            raise ValueError("std must be nonnegative")
-
-    def flatten(self) -> np.ndarray:
-        """Full model input: T normalized values, then mean, then std."""
-        return np.concatenate([self.normalized, [self.mean, self.std]])
-
-
-@dataclass(frozen=True)
-class Example:
-    features: FeatureVector
-    target: float
-    raw: RawSeries
+        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
 class Dataset:
-    examples: tuple[Example, ...]
-    split_tag: str = "train"
+    """Model inputs ``x`` (N, T+2) and targets ``y`` (N,), with the raw
+    windows ``values`` (N, T) and ``true_scale`` (N,) or ``None`` they came from."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "examples", tuple(self.examples))
-        if self.split_tag not in SPLIT_TAGS:
-            raise ValueError(f"unknown split tag {self.split_tag!r}")
+    x: np.ndarray
+    y: np.ndarray
+    values: np.ndarray
+    true_scale: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.y)
 
-    def __iter__(self):
-        return iter(self.examples)
+    def take(self, rows) -> "Dataset":
+        scale = None if self.true_scale is None else self.true_scale[rows]
+        return Dataset(self.x[rows], self.y[rows], self.values[rows], scale)
 
 
 def center_scale_normalize(z, std_threshold: float = DEFAULT_STD_THRESHOLD) -> np.ndarray:
-    """Center a series by its mean; divide by the std when std >= std_threshold.
+    """Center each series (last axis) by its mean; divide by the std when std >= std_threshold.
 
     Uses the population (divide-by-T) standard deviation. Below the
-    threshold the series is only centered, so near-constant series do
+    threshold a series is only centered, so near-constant series do
     not blow up.
     """
     if std_threshold <= 0.0:
         raise ValueError("std_threshold must be positive")
     z = np.asarray(z, dtype=np.float64)
-    if z.size < 2:
+    if z.ndim == 0 or z.shape[-1] < 2:
         raise ValueError("series needs at least 2 values")
-    centered = z - z.mean()
-    std = float(z.std())
-    return centered / std if std >= std_threshold else centered
+    std = z.std(axis=-1, keepdims=True)
+    return (z - z.mean(axis=-1, keepdims=True)) / np.where(std >= std_threshold, std, 1.0)
 
 
-def featurize(series: RawSeries, std_threshold: float = DEFAULT_STD_THRESHOLD) -> FeatureVector:
-    """Build the model input (normalized values, raw mean, raw std)."""
-    z = series.values
-    return FeatureVector(
-        normalized=center_scale_normalize(z, std_threshold),
-        mean=float(z.mean()),
-        std=float(z.std()),
+def featurize(values, std_threshold: float = DEFAULT_STD_THRESHOLD) -> np.ndarray:
+    """Model inputs (N, T+2) of (N, T) windows: T normalized values, then raw mean, then raw std."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.column_stack([
+        center_scale_normalize(values, std_threshold), values.mean(axis=1), values.std(axis=1)
+    ])
+
+
+def make_dataset(series: RawSeries, std_threshold: float = DEFAULT_STD_THRESHOLD) -> Dataset:
+    return Dataset(
+        x=featurize(series.values, std_threshold),
+        y=series.target,
+        values=series.values,
+        true_scale=series.true_scale,
     )
-
-
-def make_dataset(
-    series: Iterable[RawSeries],
-    std_threshold: float = DEFAULT_STD_THRESHOLD,
-    split_tag: str = "train",
-) -> Dataset:
-    examples = tuple(
-        Example(features=featurize(s, std_threshold), target=s.target, raw=s) for s in series
-    )
-    return Dataset(examples=examples, split_tag=split_tag)
-
-
-def feature_matrix(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a dataset into (X, y) arrays of shape (N, T+2) and (N,)."""
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
-    x = np.stack([ex.features.flatten() for ex in dataset.examples])
-    y = np.array([ex.target for ex in dataset.examples], dtype=np.float64)
-    return x, y
 
 
 # -- synthetic generation ----------------------------------------------------
@@ -319,7 +283,7 @@ def _noise_scale(config: GeneratorConfig, amplitude: float, rng: np.random.Gener
     return float(noise["low"] + (noise["high"] - noise["low"]) * frac)
 
 
-def generate_synthetic(config: GeneratorConfig, seed: int | None = None) -> list[RawSeries]:
+def generate_synthetic(config: GeneratorConfig, seed: int | None = None) -> RawSeries:
     """Draw the configured families, in canonical family order.
 
     Each series gets two independent seeded streams: one for its
@@ -328,28 +292,25 @@ def generate_synthetic(config: GeneratorConfig, seed: int | None = None) -> list
     """
     base_seed = config.seed if seed is None else seed
     n_steps = config.series_length + 1  # window plus the target step
-    out: list[RawSeries] = []
-    index = 0
-    for family in FAMILIES:
-        for _ in range(config.families.get(family, 0)):
-            pattern_rng = np.random.default_rng(np.random.SeedSequence([base_seed, index, 0]))
-            noise_rng = np.random.default_rng(np.random.SeedSequence([base_seed, index, 1]))
-            amplitude = float(pattern_rng.uniform(*config.amplitude_range))
-            pattern = _pattern(family, amplitude, n_steps, pattern_rng)
-            scale = _noise_scale(config, amplitude, noise_rng)
-            z = pattern + scale * noise_rng.laplace(0.0, 1.0, size=n_steps)
-            out.append(
-                RawSeries(values=z[:-1], target=float(z[-1]), true_scale=scale)
-            )
-            index += 1
-    return out
+    families = [family for family in FAMILIES for _ in range(config.families.get(family, 0))]
+    z = np.empty((len(families), n_steps))
+    scales = np.empty(len(families))
+    for index, family in enumerate(families):
+        pattern_rng = np.random.default_rng(np.random.SeedSequence([base_seed, index, 0]))
+        noise_rng = np.random.default_rng(np.random.SeedSequence([base_seed, index, 1]))
+        amplitude = float(pattern_rng.uniform(*config.amplitude_range))
+        pattern = _pattern(family, amplitude, n_steps, pattern_rng)
+        scales[index] = _noise_scale(config, amplitude, noise_rng)
+        z[index] = pattern + scales[index] * noise_rng.laplace(0.0, 1.0, size=n_steps)
+    return RawSeries(values=z[:, :-1], target=z[:, -1], true_scale=scales)
 
 
 def split(dataset: Dataset, validation_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded disjoint train/validation split of one dataset.
 
     Split sizes are within one example of the exact fraction, and both
-    sides are nonempty (which needs at least 2 examples).
+    sides are nonempty (which needs at least 2 examples). Training rows
+    keep their input order; validation rows come in permutation order.
     """
     if not 0.0 < validation_fraction < 1.0:
         raise ValueError("validation_fraction must be in (0, 1)")
@@ -359,59 +320,55 @@ def split(dataset: Dataset, validation_fraction: float, seed: int) -> tuple[Data
     n_val = int(round(n * validation_fraction))
     n_val = min(max(n_val, 1), n - 1)
     order = np.random.default_rng(seed).permutation(n)
-    val_idx = set(order[:n_val].tolist())
-    train = tuple(ex for i, ex in enumerate(dataset.examples) if i not in val_idx)
-    val = tuple(dataset.examples[i] for i in order[:n_val])
-    return (
-        Dataset(examples=train, split_tag="train"),
-        Dataset(examples=val, split_tag="validation"),
-    )
+    return dataset.take(np.sort(order[n_val:])), dataset.take(order[:n_val])
 
 
 # -- CSV I/O -----------------------------------------------------------------
 
 
-def write_series_csv(series: Sequence[RawSeries], path) -> None:
+def write_series_csv(series: RawSeries, path) -> None:
     """One series per row: T value columns, target, then true_scale if known.
 
     Floats are written with repr so files round-trip exactly and
     identical data produces byte-identical files.
     """
-    if not series:
-        raise ValueError("nothing to write")
-    length = series[0].length
-    if any(s.length != length for s in series):
-        raise ValueError("all series must share one length")
-    with_scale = all(s.true_scale is not None for s in series)
-    header = [f"value_{i}" for i in range(1, length + 1)] + ["target"]
-    if with_scale:
+    header = [f"value_{i}" for i in range(1, series.length + 1)] + ["target"]
+    columns = [series.values, series.target[:, None]]
+    if series.true_scale is not None:
         header.append("true_scale")
+        columns.append(series.true_scale[:, None])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for s in series:
-            row = [repr(float(v)) for v in s.values] + [repr(s.target)]
-            if with_scale:
-                row.append(repr(s.true_scale))
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in np.hstack(columns))
 
 
-def read_series_csv(path) -> list[RawSeries]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path} is empty, expected a header row") from None
-        if "target" not in header:
-            raise ValueError(f"{path} has no 'target' column")
-        target_col = header.index("target")
-        if target_col < 2:
-            raise ValueError("need at least 2 value columns before 'target'")
-        with_scale = "true_scale" in header
-        out = []
-        for row in reader:
-            values = np.array([float(v) for v in row[:target_col]])
-            scale = float(row[header.index("true_scale")]) if with_scale else None
-            out.append(RawSeries(values=values, target=float(row[target_col]), true_scale=scale))
-    return out
+def read_series_csv(path) -> RawSeries:
+    """Parse a file written by ``write_series_csv``; extra columns must be numeric.
+
+    A row whose cell count differs from the header's, or a cell that is
+    not a finite number, is a ValueError naming the file and line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError(f"{path} is empty, expected a header row")
+    header = lines[0].split(",")
+    if "target" not in header:
+        raise ValueError(f"{path} has no 'target' column")
+    target_col = header.index("target")
+    if target_col < 2:
+        raise ValueError("need at least 2 value columns before 'target'")
+    if len(lines) < 2:
+        raise ValueError(f"{path} has no series rows")
+    for number, line in enumerate(lines[1:], start=2):
+        if line.count(",") != len(header) - 1:
+            raise ValueError(f"{path}, line {number}: {line.count(',') + 1} cells, header has {len(header)}")
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}, line {bad[0] + 2}: non-finite cell")
+    scale = data[:, header.index("true_scale")] if "true_scale" in header else None
+    return RawSeries(values=data[:, :target_col], target=data[:, target_col], true_scale=scale)

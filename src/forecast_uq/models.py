@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, FeatureVector, RawSeries, feature_matrix, split
+from .data import Dataset, split
 from .exceptions import ConfigError, ShapeError, TrainingError
 from .losses import (
     DEFAULT_ALPHA,
@@ -41,7 +41,6 @@ __all__ = [
     "MC_DROPOUT_P",
     "Model",
     "ModelSpec",
-    "PredictionRecord",
     "TrainConfig",
     "baseline_predict",
     "build",
@@ -132,23 +131,6 @@ class ModelSpec:
             "head_size": self.head_size,
             "dropout_p": self.dropout_p,
         }
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """A forecast, its uncertainty score (lower = more confident), and truth."""
-
-    y_hat: float
-    score: float
-    y_true: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.score) or self.score < 0.0:
-            raise ValueError(f"score must be finite and nonnegative, got {self.score}")
-
-    @property
-    def abs_error(self) -> float:
-        return abs(self.y_true - self.y_hat)
 
 
 @dataclass(frozen=True)
@@ -323,8 +305,6 @@ def build(spec: ModelSpec, seed: int = 0) -> Model:
 
 
 def _as_batch(x, input_dim: int) -> tuple[np.ndarray, bool]:
-    if isinstance(x, FeatureVector):
-        return x.flatten()[None, :], True
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         arr, single = arr[None, :], True
@@ -338,8 +318,8 @@ def _as_batch(x, input_dim: int) -> tuple[np.ndarray, bool]:
 def predict(model: Model, x):
     """Deterministic forecast; returns (y_hat, scale or None).
 
-    ``x`` is a FeatureVector or an (N, input_dim) matrix; scalar in,
-    scalars out.
+    ``x`` is one (input_dim,) feature vector or an (N, input_dim)
+    matrix; a vector in gives scalars out.
     """
     batch, single = _as_batch(x, model.spec.input_dim)
     mu = model.forward_mean(batch).data.ravel()
@@ -376,19 +356,21 @@ def mc_dropout_predict(model: Model, x, n_samples: int, seed: int = 0):
     return mean, std
 
 
-def baseline_predict(kind: str, series: RawSeries) -> float:
+def baseline_predict(kind: str, values) -> np.ndarray:
+    """Naive forecast of each raw window (last axis) in ``values``."""
+    values = np.asarray(values, dtype=np.float64)
     if kind == "mean":
-        return float(series.values.mean())
+        return values.mean(axis=-1)
     if kind == "zero":
-        return 0.0
+        return np.zeros(values.shape[:-1])
     if kind == "last":
-        return float(series.values[-1])
+        return values[..., -1]
     raise ValueError(f"unknown baseline {kind!r}, expected one of {BASELINES}")
 
 
-def input_variance_score(series: RawSeries) -> float:
-    """Population variance of the raw window, a scale-sensitive proxy score."""
-    return float(series.values.var())
+def input_variance_score(values) -> np.ndarray:
+    """Population variance of each raw window (last axis), a scale-sensitive proxy score."""
+    return np.asarray(values, dtype=np.float64).var(axis=-1)
 
 
 def _batch_loss(model: Model, x: np.ndarray, y: np.ndarray, training: bool, rng):
@@ -410,8 +392,8 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[Model, d
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     train_ds, val_ds = split(dataset, config.validation_fraction, config.seed)
-    x_train, y_train = feature_matrix(train_ds)
-    x_val, y_val = feature_matrix(val_ds)
+    x_train, y_train = train_ds.x, train_ds.y
+    x_val, y_val = val_ds.x, val_ds.y
     if x_train.shape[1] != model.spec.input_dim:
         raise ShapeError(
             f"model expects input_dim {model.spec.input_dim}, data has {x_train.shape[1]}"

@@ -50,7 +50,7 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""

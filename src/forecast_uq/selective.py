@@ -21,12 +21,11 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from .models import PredictionRecord
-
 __all__ = [
     "KEEP_GRID",
     "CurvePoint",
     "ErrorKeepCurve",
+    "PredictionRecords",
     "error_keep_curve",
     "error_score_correlation",
     "keep_grid_readout",
@@ -60,50 +59,57 @@ class ErrorKeepCurve:
         object.__setattr__(self, "points", tuple(self.points))
 
 
-def make_records(y_true, y_hat, scores) -> list[PredictionRecord]:
+@dataclass(frozen=True)
+class PredictionRecords:
+    """N forecasts as arrays: realized |y_true - y_hat| and the uncertainty
+    score (lower = more confident). Build with ``make_records``, which
+    validates them."""
+
+    abs_error: np.ndarray
+    score: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+
+def make_records(y_true, y_hat, scores) -> PredictionRecords:
     y_true = np.asarray(y_true, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
     if not y_true.shape == y_hat.shape == scores.shape or y_true.ndim != 1:
         raise ValueError("y_true, y_hat, scores must be equal-length vectors")
-    return [
-        PredictionRecord(y_hat=float(p), score=float(s), y_true=float(t))
-        for t, p, s in zip(y_true, y_hat, scores)
-    ]
-
-
-def _errors_and_scores(records: Sequence[PredictionRecord]) -> tuple[np.ndarray, np.ndarray]:
-    if len(records) == 0:
+    if len(scores) == 0:
         raise ValueError("records must be nonempty")
-    errors = np.array([r.abs_error for r in records])
-    scores = np.array([r.score for r in records])
-    return errors, scores
+    bad = np.flatnonzero(~(np.isfinite(scores) & (scores >= 0.0)))
+    if bad.size:
+        raise ValueError(f"score must be finite and nonnegative, got {scores[bad[0]]} at index {bad[0]}")
+    return PredictionRecords(abs_error=np.abs(y_true - y_hat), score=scores)
 
 
-def mae_at_threshold(records: Sequence[PredictionRecord], threshold: float) -> tuple[float, float]:
+def mae_at_threshold(records: PredictionRecords, threshold: float) -> tuple[float, float]:
     """MAE over the records with score strictly below threshold.
 
     Returns (mae, keep_fraction); mae is NaN when the threshold keeps
     nothing.
     """
-    errors, scores = _errors_and_scores(records)
-    kept = scores < threshold
+    kept = records.score < threshold
     n_kept = int(kept.sum())
     if n_kept == 0:
         return math.nan, 0.0
-    return float(errors[kept].mean()), n_kept / len(records)
+    return float(records.abs_error[kept].mean()), n_kept / len(records)
 
 
-def error_keep_curve(records: Sequence[PredictionRecord], n_points: int = 50) -> ErrorKeepCurve:
+def error_keep_curve(records: PredictionRecords, n_points: int = 50) -> ErrorKeepCurve:
     """Sweep thresholds over the observed scores (subsampled to n_points).
 
     The sweep always ends with an above-maximum threshold, so the last
-    point keeps everything and its MAE is the plain MAE.
+    point keeps everything and its MAE is the plain MAE. Each point is a
+    masked mean in input order, not a running sum over sorted errors, so
+    its MAE is bit-identical to ``mae_at_threshold``.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
-    errors, scores = _errors_and_scores(records)
-    unique = np.unique(scores)
+    unique = np.unique(records.score)
     if len(unique) > n_points - 1:
         pick = np.linspace(0, len(unique) - 1, n_points - 1).round().astype(int)
         unique = unique[np.unique(pick)]
@@ -122,27 +128,26 @@ def error_keep_curve(records: Sequence[PredictionRecord], n_points: int = 50) ->
     return ErrorKeepCurve(points=tuple(points), n_total=len(records))
 
 
-def mae_at_keep(records: Sequence[PredictionRecord], k_fraction: float) -> float:
+def mae_at_keep(records: PredictionRecords, k_fraction: float) -> float:
     """MAE of the ceil(k*N) most-confident records.
 
     Rank-based: any strictly increasing transform of the scores selects
     the same records. Ties keep input order (stable sort).
     """
-    if not 0.0 < k_fraction <= 1.0:
-        raise ValueError("k_fraction must be in (0, 1]")
-    errors, scores = _errors_and_scores(records)
-    n_keep = math.ceil(k_fraction * len(records))
-    order = np.argsort(scores, kind="stable")
-    return float(errors[order[:n_keep]].mean())
+    return keep_grid_readout(records, (k_fraction,))[float(k_fraction)]
 
 
 def keep_grid_readout(
-    records: Sequence[PredictionRecord], grid: Sequence[float] = KEEP_GRID
+    records: PredictionRecords, grid: Sequence[float] = KEEP_GRID
 ) -> dict[float, float]:
-    return {float(k): mae_at_keep(records, k) for k in grid}
+    """``mae_at_keep`` at every fraction of the grid, from one stable sort."""
+    if not all(0.0 < k <= 1.0 for k in grid):
+        raise ValueError("k_fraction must be in (0, 1]")
+    ranked = records.abs_error[np.argsort(records.score, kind="stable")]
+    return {float(k): float(ranked[: math.ceil(k * len(records))].mean()) for k in grid}
 
 
-def error_score_correlation(records: Sequence[PredictionRecord]):
+def error_score_correlation(records: PredictionRecords):
     """Spearman rank correlation between |error| and score, plus the pairs.
 
     Returns (rho, scatter) where scatter is an (N, 2) array of
@@ -151,7 +156,7 @@ def error_score_correlation(records: Sequence[PredictionRecord]):
     """
     if len(records) < 3:
         raise ValueError("need at least 3 records for a rank correlation")
-    errors, scores = _errors_and_scores(records)
+    errors, scores = records.abs_error, records.score
     scatter = np.column_stack([errors, scores])
     if np.all(errors == errors[0]) or np.all(scores == scores[0]):
         return math.nan, scatter

@@ -16,7 +16,6 @@ from scipy import integrate, stats
 from forecast_uq.cli import main
 from forecast_uq.data import (
     GeneratorConfig,
-    feature_matrix,
     generate_synthetic,
     make_dataset,
 )
@@ -68,14 +67,13 @@ def heteroscedastic_run():
     dataset = make_dataset(generate_synthetic(train_config))
     model = build(ModelSpec.default("dense", "heteroscedastic", 14, desk=True), seed=0)
     model, _ = train(model, dataset, TrainConfig())
-    held = generate_synthetic(held_config)
-    x, y = feature_matrix(make_dataset(held))
-    y_hat, scale_hat = predict(model, x)
+    held = make_dataset(generate_synthetic(held_config))
+    y_hat, scale_hat = predict(model, held.x)
     return {
-        "y": y,
+        "y": held.y,
         "y_hat": y_hat,
         "scale_hat": scale_hat,
-        "true_scale": np.array([s.true_scale for s in held]),
+        "true_scale": held.true_scale,
         "elapsed": time.monotonic() - start,
     }
 
@@ -99,9 +97,9 @@ def selective_risk_runs():
         seed=32,
     )
     dataset = make_dataset(generate_synthetic(train_config))
-    held = generate_synthetic(held_config)
-    x, y = feature_matrix(make_dataset(held))
-    var_scores = np.array([input_variance_score(s) for s in held])
+    held = make_dataset(generate_synthetic(held_config))
+    x, y = held.x, held.y
+    var_scores = input_variance_score(held.values)
 
     runs = []
     for seed in range(6):
@@ -204,7 +202,7 @@ def test_criterion_3_homoscedastic_recovery():
     dataset = make_dataset(generate_synthetic(config))
     model = build(ModelSpec.default("dense", "homoscedastic", 26, desk=True), seed=0)
     model, _ = train(model, dataset, TrainConfig())
-    _, shared_scale = predict(model, dataset.examples[0].features)
+    _, shared_scale = predict(model, dataset.x[0])
     elapsed = time.monotonic() - start
     assert 4.5 <= shared_scale <= 5.5, f"learned shared scale {shared_scale:.3f}"
     assert elapsed < 300.0, f"recovery took {elapsed:.1f}s"
@@ -276,12 +274,12 @@ def test_criterion_8_baselines_sanity():
     model = build(ModelSpec.default("dense", "point", 14, desk=True), seed=0)
     model, _ = train(model, dataset, TrainConfig())
 
-    held = generate_synthetic(config, seed=42)
-    x, y = feature_matrix(make_dataset(held))
+    held = make_dataset(generate_synthetic(config, seed=42))
+    x, y = held.x, held.y
     y_hat, _ = predict(model, x)
     mae_model = float(np.abs(y - y_hat).mean())
     mae = {
-        kind: float(np.mean([abs(s.target - baseline_predict(kind, s)) for s in held]))
+        kind: float(np.abs(y - baseline_predict(kind, held.values)).mean())
         for kind in ("mean", "zero", "last")
     }
     assert mae["last"] > mae_model, f"last {mae['last']:.2f} vs model {mae_model:.2f}"

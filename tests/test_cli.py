@@ -58,9 +58,8 @@ class TestGenerate:
 
     def test_round_trips_through_reader(self, workspace):
         series = read_series_csv(workspace["data"])
-        assert len(series) == 60
-        assert all(s.length == 8 for s in series)
-        assert all(s.true_scale == 2.0 for s in series)
+        assert series.values.shape == (60, 8)
+        assert np.all(series.true_scale == 2.0)
 
     def test_byte_identical_reruns(self, workspace, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -165,10 +164,10 @@ class TestEvaluate:
     def test_keep_one_equals_plain_mae(self, eval_results, workspace):
         doc = json.loads((eval_results / "matrix.json").read_text())
         series = read_series_csv(workspace["data"])
-        mean_mae = np.mean([abs(s.target - s.values.mean()) for s in series])
+        mean_mae = np.mean([abs(t - row.mean()) for t, row in zip(series.target, series.values)])
         cell = doc["rows"]["baseline_mean+input_variance"]["1.0"]
         np.testing.assert_allclose(cell["mean"], mean_mae, rtol=1e-12)
-        zero_mae = np.mean([abs(s.target) for s in series])
+        zero_mae = np.mean(np.abs(series.target))
         np.testing.assert_allclose(
             doc["rows"]["baseline_zero+input_variance"]["1.0"]["mean"], zero_mae, rtol=1e-12
         )
@@ -240,3 +239,38 @@ class TestCluster:
         assert doc["k"] == 4
         assert doc["inertia"] >= 0.0
         assert doc["n_iter"] >= 1
+
+
+class TestMalformedCsv:
+    """A bad dataset fails at the reader: exit 1 and one stderr line, no traceback."""
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("1.0,2.0,3.0", "line 3: 3 cells, header has 10"),
+        ("1.0,2.0,3.0,4.0,nan,6.0,7.0,8.0,9.0,2.0", "line 3: non-finite cell"),
+        ("1.0,2.0,3.0,4.0,5.0,6.0,7.0,8.0,9.0,inf", "line 3: non-finite cell"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "evaluate", "cluster"])
+    def test_one_line_error(self, workspace, tmp_path, capsys, command, bad_row, message):
+        lines = workspace["data"].read_text().splitlines()
+        lines[2] = bad_row
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = [command, "--config", str(workspace["run_config"]), "--data", str(bad),
+                "--out", str(tmp_path / "out")]
+        if command == "evaluate":
+            argv += ["--checkpoints", str(workspace["ckpts"])]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"error: {bad}, {message}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate"],
+    ["evaluate", "--data", "x.csv", "--checkpoints", "c"],
+    ["cluster", "--data", "x.csv"],
+])
+def test_jobs_is_a_train_only_flag(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(argv + ["--out", str(tmp_path / "out.csv"), "--jobs", "2"])
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from forecast_uq.cluster import kmeans
+from forecast_uq.cluster import DISTANCE_BLOCK_ROWS, _squared_distances, kmeans
 from forecast_uq.data import center_scale_normalize
 
 
@@ -48,6 +48,13 @@ class TestKmeans:
         assert np.array_equal(a.centroids, b.centroids)
         assert np.array_equal(a.assignments, b.assignments)
         assert a.inertia == b.inertia
+
+    def test_blocked_distances_match_one_block(self):
+        rng = np.random.default_rng(7)
+        points = rng.normal(size=(2 * DISTANCE_BLOCK_ROWS + 37, 24))
+        centroids = rng.normal(size=(16, 24))
+        diff = points[:, None, :] - centroids[None, :, :]
+        assert np.array_equal(_squared_distances(points, centroids), np.einsum("nkd,nkd->nk", diff, diff))
 
     def test_k_larger_than_n_rejected(self):
         points = np.zeros((3, 2))

@@ -10,7 +10,6 @@ from forecast_uq.data import (
     GeneratorConfig,
     RawSeries,
     center_scale_normalize,
-    feature_matrix,
     featurize,
     generate_synthetic,
     make_dataset,
@@ -55,77 +54,107 @@ class TestCenterScaleNormalize:
         scaled = center_scale_normalize(z, std_threshold=1e-12)
         np.testing.assert_allclose(scaled, [-1.0, 1.0])
 
+    def test_matrix_rows_match_one_series_at_a_time(self):
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(40, 24)) * rng.uniform(1.0, 100.0, size=(40, 1))
+        z[5] = 7.0  # below the threshold: centered only
+        out = center_scale_normalize(z)
+        for row, expected in zip(out, z):
+            assert np.array_equal(row, center_scale_normalize(expected))
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             center_scale_normalize(np.array([1.0]))
+        with pytest.raises(ValueError):
+            center_scale_normalize(np.zeros((3, 1)))
         with pytest.raises(ValueError):
             center_scale_normalize(np.array([1.0, 2.0]), std_threshold=0.0)
 
 
 class TestFeaturize:
+    """Feature rows are (T normalized values, raw mean, raw std)."""
+
     def test_hand_computed_attributes(self):
-        fv = featurize(RawSeries(values=[1.0, 2.0, 3.0], target=4.0))
-        np.testing.assert_allclose(fv.mean, 2.0)
-        np.testing.assert_allclose(fv.std, 0.816496580927726, atol=1e-12)
-        assert fv.flatten().shape == (5,)
+        x = featurize([[1.0, 2.0, 3.0]])
+        assert x.shape == (1, 5)
+        np.testing.assert_allclose(x[0, -2], 2.0)
+        np.testing.assert_allclose(x[0, -1], 0.816496580927726, atol=1e-12)
 
     def test_zero_series(self):
-        fv = featurize(RawSeries(values=np.zeros(4), target=0.0))
-        np.testing.assert_allclose(fv.normalized, np.zeros(4))
-        assert fv.mean == 0.0 and fv.std == 0.0
+        x = featurize(np.zeros((1, 4)))
+        np.testing.assert_allclose(x[0, :-2], np.zeros(4))
+        assert x[0, -2] == 0.0 and x[0, -1] == 0.0
 
     def test_std_homogeneity(self):
         rng = np.random.default_rng(1)
-        values = rng.normal(size=24)
-        base = featurize(RawSeries(values=values, target=0.0))
-        scaled = featurize(RawSeries(values=3.0 * values, target=0.0))
-        np.testing.assert_allclose(scaled.std, 3.0 * base.std, rtol=1e-12)
+        values = rng.normal(size=(1, 24))
+        base = featurize(values)
+        scaled = featurize(3.0 * values)
+        np.testing.assert_allclose(scaled[0, -1], 3.0 * base[0, -1], rtol=1e-12)
 
     def test_normalized_part_is_standardized(self):
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            values = rng.uniform(5.0, 500.0) * rng.normal(size=24) + rng.uniform(-50, 50)
-            fv = featurize(RawSeries(values=values, target=1.0))
-            if fv.std >= DEFAULT_STD_THRESHOLD:
-                assert abs(fv.normalized.mean()) < 1e-9
-                assert abs(fv.normalized.std() - 1.0) < 1e-9
+        values = rng.uniform(5.0, 500.0, size=(20, 1)) * rng.normal(size=(20, 24))
+        x = featurize(values + rng.uniform(-50, 50, size=(20, 1)))
+        for row in x:
+            if row[-1] >= DEFAULT_STD_THRESHOLD:
+                assert abs(row[:-2].mean()) < 1e-9
+                assert abs(row[:-2].std() - 1.0) < 1e-9
+
+    def test_rows_match_one_series_at_a_time(self):
+        series = generate_synthetic(small_config())
+        x = featurize(series.values)
+        for row, z in zip(x, series.values):
+            assert np.array_equal(row[:-2], center_scale_normalize(z))
+            assert row[-2] == z.mean() and row[-1] == z.std()
 
 
 class TestRawSeries:
     def test_validates_length_and_finiteness(self):
         with pytest.raises(ValueError):
-            RawSeries(values=[1.0], target=0.0)
+            RawSeries(values=[[1.0]], target=[0.0])
         with pytest.raises(ValueError):
-            RawSeries(values=[1.0, np.inf], target=0.0)
+            RawSeries(values=[[1.0, np.inf]], target=[0.0])
         with pytest.raises(ValueError):
-            RawSeries(values=[1.0, 2.0], target=np.nan)
+            RawSeries(values=[[1.0, 2.0]], target=[np.nan])
         with pytest.raises(ValueError):
-            RawSeries(values=[1.0, 2.0], target=0.0, true_scale=-1.0)
+            RawSeries(values=[[1.0, 2.0]], target=[0.0], true_scale=[-1.0])
+        with pytest.raises(ValueError):
+            RawSeries(values=[[1.0, 2.0]], target=[0.0], true_scale=[np.inf])
+
+    def test_validates_shapes(self):
+        with pytest.raises(ValueError):
+            RawSeries(values=[1.0, 2.0], target=[0.0])
+        with pytest.raises(ValueError):
+            RawSeries(values=np.zeros((2, 3)), target=[0.0])
+        with pytest.raises(ValueError):
+            RawSeries(values=np.zeros((2, 3)), target=[0.0, 1.0], true_scale=[1.0])
+
+    def test_length_and_count(self):
+        series = RawSeries(values=np.zeros((4, 3)), target=np.zeros(4))
+        assert len(series) == 4 and series.length == 3 and series.true_scale is None
 
 
 class TestGenerator:
     def test_counts_and_lengths(self):
         series = generate_synthetic(small_config())
         assert len(series) == 40
-        assert all(s.length == 24 for s in series)
-        assert all(s.true_scale == 2.0 for s in series)
+        assert series.values.shape == (40, 24)
+        assert np.all(series.true_scale == 2.0)
 
     def test_determinism(self):
         a = generate_synthetic(small_config())
         b = generate_synthetic(small_config())
-        assert all(
-            np.array_equal(x.values, y.values) and x.target == y.target
-            for x, y in zip(a, b)
-        )
+        assert np.array_equal(a.values, b.values) and np.array_equal(a.target, b.target)
 
     def test_zero_noise_reveals_exact_pattern(self):
         quiet = generate_synthetic(small_config(noise={"law": "constant", "scale": 0.0}))
         noisy = generate_synthetic(small_config(noise={"law": "constant", "scale": 3.0}))
         # same pattern stream: the zero-noise run is the other one's truth
-        for q, n in zip(quiet, noisy):
-            assert np.all(np.isfinite(q.values))
-            assert not np.array_equal(q.values, n.values)
-        periodic = quiet[0].values
+        for q, n in zip(quiet.values, noisy.values):
+            assert np.all(np.isfinite(q))
+            assert not np.array_equal(q, n)
+        periodic = quiet.values[0]
         season = periodic[:12]
         np.testing.assert_allclose(periodic[12:24], season, atol=1e-9)
 
@@ -137,7 +166,7 @@ class TestGenerator:
             amplitude_range=(50.0, 50.0),
         )
         series = generate_synthetic(config)
-        residuals = np.concatenate([s.values - 50.0 for s in series])
+        residuals = series.values - 50.0
         np.testing.assert_allclose(np.abs(residuals).mean(), 2.0, rtol=0.05)
 
     def test_noise_law_slope_is_recoverable(self):
@@ -147,8 +176,8 @@ class TestGenerator:
             amplitude_range=(20.0, 20.0),
         )
         series = generate_synthetic(config)
-        abs_residuals = np.array([abs(s.target - 20.0) for s in series])
-        scales = np.array([s.true_scale for s in series])
+        abs_residuals = np.abs(series.target - 20.0)
+        scales = series.true_scale
         slope = np.polyfit(scales, abs_residuals, 1)[0]
         np.testing.assert_allclose(slope, 1.0, atol=0.1)
 
@@ -157,26 +186,25 @@ class TestGenerator:
             families={"trend": 4000},
             noise={"law": "amplitude_linear", "low": 1.0, "high": 20.0},
         )
-        series = generate_synthetic(config)
-        scales = np.array([s.true_scale for s in series])
+        scales = generate_synthetic(config).true_scale
         assert scales.min() >= 1.0 and scales.max() <= 20.0
         assert scales.max() - scales.min() > 15.0
 
     def test_patterns_stable_across_noise_laws(self):
         base = small_config(noise={"law": "constant", "scale": 0.0})
         alt = small_config(noise={"law": "amplitude_linear", "low": 0.0, "high": 0.0})
-        for x, y in zip(generate_synthetic(base), generate_synthetic(alt)):
-            np.testing.assert_allclose(x.values, y.values, atol=1e-12)
+        np.testing.assert_allclose(
+            generate_synthetic(base).values, generate_synthetic(alt).values, atol=1e-12
+        )
 
     def test_explicit_seed_overrides_config(self):
         a = generate_synthetic(small_config(), seed=123)
         b = generate_synthetic(small_config(seed=123))
-        assert np.array_equal(a[0].values, b[0].values)
+        assert np.array_equal(a.values, b.values)
 
     def test_all_families_produce_finite_features(self):
-        for s in generate_synthetic(small_config(noise={"law": "uniform", "low": 0.0, "high": 9.0})):
-            fv = featurize(s)
-            assert np.all(np.isfinite(fv.flatten()))
+        series = generate_synthetic(small_config(noise={"law": "uniform", "low": 0.0, "high": 9.0}))
+        assert np.all(np.isfinite(featurize(series.values)))
 
 
 class TestGeneratorConfig:
@@ -224,30 +252,35 @@ class TestGeneratorConfig:
 
 class TestSplit:
     def make(self, n) -> Dataset:
-        series = [
-            RawSeries(values=np.array([float(i), float(i + 1), float(i + 2)]), target=float(i))
-            for i in range(n)
-        ]
-        return make_dataset(series)
+        i = np.arange(n, dtype=np.float64)
+        return make_dataset(RawSeries(values=np.column_stack([i, i + 1, i + 2]), target=i))
 
     def test_ten_percent_split(self):
         train, val = split(self.make(100), 0.1, seed=0)
         assert len(train) == 90 and len(val) == 10
-        assert train.split_tag == "train" and val.split_tag == "validation"
+        assert train.x.shape == (90, 5) and val.values.shape == (10, 3)
 
     def test_union_preserved_and_disjoint(self):
         ds = self.make(37)
         train, val = split(ds, 0.25, seed=1)
-        targets = sorted(ex.target for ex in list(train) + list(val))
-        assert targets == sorted(ex.target for ex in ds)
+        targets = sorted(np.concatenate([train.y, val.y]))
+        assert targets == sorted(ds.y)
         assert len(train) + len(val) == len(ds)
-        assert not {ex.target for ex in train} & {ex.target for ex in val}
+        assert not set(train.y) & set(val.y)
+
+    def test_rows_stay_aligned(self):
+        ds = make_dataset(generate_synthetic(small_config()))
+        for part in split(ds, 0.3, seed=2):
+            rows = [np.flatnonzero(ds.y == target)[0] for target in part.y]
+            assert np.array_equal(part.x, ds.x[rows])
+            assert np.array_equal(part.values, ds.values[rows])
+            assert np.array_equal(part.true_scale, ds.true_scale[rows])
 
     def test_deterministic(self):
         ds = self.make(50)
         first = split(ds, 0.2, seed=7)
         second = split(ds, 0.2, seed=7)
-        assert [ex.target for ex in first[1]] == [ex.target for ex in second[1]]
+        assert np.array_equal(first[1].y, second[1].y)
 
     def test_both_sides_nonempty_even_when_rounding_to_zero(self):
         train, val = split(self.make(5), 0.01, seed=0)
@@ -257,7 +290,7 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(self.make(10), 0.0, seed=0)
         with pytest.raises(ValueError):
-            split(Dataset(examples=()), 0.5, seed=0)
+            split(self.make(1), 0.5, seed=0)
 
 
 class TestCsvRoundTrip:
@@ -267,10 +300,9 @@ class TestCsvRoundTrip:
         write_series_csv(series, path)
         back = read_series_csv(path)
         assert len(back) == len(series)
-        for orig, loaded in zip(series, back):
-            assert np.array_equal(orig.values, loaded.values)
-            assert orig.target == loaded.target
-            assert orig.true_scale == loaded.true_scale
+        assert np.array_equal(series.values, back.values)
+        assert np.array_equal(series.target, back.target)
+        assert np.array_equal(series.true_scale, back.true_scale)
 
     def test_header_and_column_count(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -279,11 +311,11 @@ class TestCsvRoundTrip:
         assert header == [f"value_{i}" for i in range(1, 25)] + ["target", "true_scale"]
 
     def test_external_data_without_scale(self, tmp_path):
-        series = [RawSeries(values=[1.0, 2.0, 3.0], target=4.0)]
+        series = RawSeries(values=[[1.0, 2.0, 3.0]], target=[4.0])
         path = tmp_path / "external.csv"
         write_series_csv(series, path)
-        assert "true_scale" not in path.read_text().splitlines()[0]
-        assert read_series_csv(path)[0].true_scale is None
+        assert path.read_text() == "value_1,value_2,value_3,target\n1.0,2.0,3.0,4.0\n"
+        assert read_series_csv(path).true_scale is None
 
     def test_missing_target_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -291,15 +323,45 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             read_series_csv(path)
 
+    @pytest.mark.parametrize("row", ["1.0,2.0", "1.0,2.0,3.0,4.0,5.0", ""])
+    def test_ragged_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"value_1,value_2,target,true_scale\n1.0,2.0,3.0,1.0\n{row}\n")
+        with pytest.raises(ValueError, match="ragged.csv, line 3: "):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_file_and_line(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        rows = ["1.0,2.0,3.0"] * 3
+        rows[1] = f"1.0,{cell},3.0"
+        path.write_text("value_1,value_2,target\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="nonfinite.csv, line 3: non-finite"):
+            read_series_csv(path)
+
+    def test_non_numeric_cell_names_file(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_text("value_1,value_2,target\n1.0,two,3.0\n")
+        with pytest.raises(ValueError, match="text.csv"):
+            read_series_csv(path)
+
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("value_1,value_2,target\n")
+        with pytest.raises(ValueError, match="no series rows"):
+            read_series_csv(path)
+
 
 class TestFeatureMatrix:
     def test_shapes_and_values(self):
-        ds = make_dataset(generate_synthetic(small_config()))
-        x, y = feature_matrix(ds)
-        assert x.shape == (40, 26)
-        assert y.shape == (40,)
-        np.testing.assert_allclose(x[0], ds.examples[0].features.flatten())
+        series = generate_synthetic(small_config())
+        ds = make_dataset(series)
+        assert ds.x.shape == (40, 26)
+        assert ds.y.shape == (40,)
+        assert np.array_equal(ds.x, featurize(series.values))
+        assert np.array_equal(ds.y, series.target)
+        assert np.array_equal(ds.true_scale, series.true_scale)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            feature_matrix(Dataset(examples=()))
+            make_dataset(RawSeries(values=np.zeros((0, 24)), target=np.zeros(0)))

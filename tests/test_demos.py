@@ -1,0 +1,26 @@
+"""The quick demos run to completion as scripts.
+
+Demos 03 and 04 train models for tens of seconds each and are left to
+manual runs.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("name", ["01_autodiff_basics.py", "02_synthetic_data_tour.py"])
+def test_demo_exits_cleanly(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "demos", name)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

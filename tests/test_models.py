@@ -8,7 +8,6 @@ from forecast_uq.exceptions import ConfigError, ShapeError, TrainingError
 from forecast_uq.models import (
     Model,
     ModelSpec,
-    PredictionRecord,
     TrainConfig,
     baseline_predict,
     build,
@@ -108,8 +107,7 @@ class TestPredict:
     def test_homoscedastic_scale_constant_across_inputs(self):
         ds = tiny_dataset(60)
         model = build(ModelSpec.default("dense", "homoscedastic", 14, desk=True), seed=0)
-        x = np.stack([ex.features.flatten() for ex in ds.examples])
-        _, scales = predict(model, x)
+        _, scales = predict(model, ds.x)
         assert np.all(scales == scales[0])
 
     def test_heteroscedastic_scale_respects_floor(self):
@@ -126,7 +124,7 @@ class TestPredict:
     def test_single_feature_vector_gives_scalars(self):
         ds = tiny_dataset(10)
         model = build(ModelSpec.default("dense", "heteroscedastic", 14, desk=True), seed=0)
-        y_hat, scale = predict(model, ds.examples[0].features)
+        y_hat, scale = predict(model, ds.x[0])
         assert isinstance(y_hat, float) and isinstance(scale, float)
 
     def test_repeated_predict_bit_identical(self):
@@ -183,55 +181,51 @@ class TestMcDropout:
 
 class TestBaselines:
     def test_named_values(self):
-        z = RawSeries(values=[1.0, 2.0, 3.0], target=9.0)
-        assert baseline_predict("mean", z) == 2.0
-        assert baseline_predict("zero", z) == 0.0
-        assert baseline_predict("last", z) == 3.0
+        z = np.array([[1.0, 2.0, 3.0], [4.0, 6.0, 5.0]])
+        np.testing.assert_array_equal(baseline_predict("mean", z), [2.0, 5.0])
+        np.testing.assert_array_equal(baseline_predict("zero", z), [0.0, 0.0])
+        np.testing.assert_array_equal(baseline_predict("last", z), [3.0, 5.0])
 
     def test_constant_series(self):
-        z = RawSeries(values=np.full(6, 4.5), target=0.0)
+        z = np.full((1, 6), 4.5)
         assert baseline_predict("mean", z) == 4.5
         assert baseline_predict("last", z) == 4.5
 
     def test_mean_is_permutation_invariant_last_is_not(self):
-        z = RawSeries(values=[1.0, 2.0, 9.0], target=0.0)
-        flipped = RawSeries(values=[9.0, 2.0, 1.0], target=0.0)
+        z = np.array([[1.0, 2.0, 9.0]])
+        flipped = np.array([[9.0, 2.0, 1.0]])
         assert baseline_predict("mean", z) == baseline_predict("mean", flipped)
         assert baseline_predict("last", z) != baseline_predict("last", flipped)
 
+    def test_rows_match_one_window_at_a_time(self):
+        values = np.random.default_rng(0).normal(size=(50, 12)) * 40.0
+        for kind in ("mean", "zero", "last"):
+            whole = baseline_predict(kind, values)
+            assert whole.shape == (50,)
+            assert all(whole[i] == baseline_predict(kind, row) for i, row in enumerate(values))
+        scores = input_variance_score(values)
+        assert all(scores[i] == input_variance_score(row) for i, row in enumerate(values))
+
     def test_unknown_baseline_rejected(self):
         with pytest.raises(ValueError):
-            baseline_predict("median", RawSeries(values=[1.0, 2.0], target=0.0))
+            baseline_predict("median", np.array([[1.0, 2.0]]))
 
     def test_input_variance(self):
-        assert input_variance_score(RawSeries(values=[0.0, 2.0], target=0.0)) == 1.0
-        assert input_variance_score(RawSeries(values=np.full(5, 3.0), target=0.0)) == 0.0
-        z = np.random.default_rng(0).normal(size=12)
-        a = input_variance_score(RawSeries(values=z, target=0.0))
-        b = input_variance_score(RawSeries(values=3.0 * z, target=0.0))
+        assert input_variance_score(np.array([[0.0, 2.0]])) == 1.0
+        assert input_variance_score(np.full((1, 5), 3.0)) == 0.0
+        z = np.random.default_rng(0).normal(size=(1, 12))
+        a = input_variance_score(z)
+        b = input_variance_score(3.0 * z)
         np.testing.assert_allclose(b, 9.0 * a, rtol=1e-12)
-
-
-class TestPredictionRecord:
-    def test_abs_error(self):
-        r = PredictionRecord(y_hat=2.0, score=0.5, y_true=-1.0)
-        assert r.abs_error == 3.0
-
-    def test_bad_scores_rejected(self):
-        with pytest.raises(ValueError):
-            PredictionRecord(y_hat=0.0, score=-0.1, y_true=0.0)
-        with pytest.raises(ValueError):
-            PredictionRecord(y_hat=0.0, score=np.nan, y_true=0.0)
 
 
 class TestTrain:
     def test_point_model_fits_constant_target(self):
         values = np.tile(np.linspace(1.0, 12.0, 12), (80, 1))
-        series = [RawSeries(values=row, target=13.0) for row in values]
-        ds = make_dataset(series)
+        ds = make_dataset(RawSeries(values=values, target=np.full(80, 13.0)))
         model = build(ModelSpec.default("dense", "point", 14, desk=True), seed=0)
         model, history = train(model, ds, TrainConfig(max_epochs=200, patience=200, batch_size=32, seed=0))
-        y_hat, _ = predict(model, ds.examples[0].features)
+        y_hat, _ = predict(model, ds.x[0])
         assert abs(y_hat - 13.0) < 0.5
         first, last = history["train_loss"][0], history["train_loss"][-1]
         assert last < first
@@ -239,8 +233,7 @@ class TestTrain:
     def test_heteroscedastic_gradients_reach_both_towers(self):
         ds = tiny_dataset(120)
         model = build(ModelSpec.default("dense", "heteroscedastic", 14, desk=True), seed=0)
-        x = np.stack([ex.features.flatten() for ex in ds.examples])
-        y = np.array([ex.target for ex in ds.examples])
+        x, y = ds.x, ds.y
         params = model.parameters()
         with GradientTape() as tape:
             mu = model.forward_mean(x)
@@ -260,13 +253,17 @@ class TestTrain:
             families={"noise": 150}, series_length=12, amplitude_range=(80.0, 80.5),
             noise={"law": "constant", "scale": 8.0}, seed=2,
         )
-        ds = make_dataset(generate_synthetic(quiet) + generate_synthetic(loud))
+        both = [generate_synthetic(quiet), generate_synthetic(loud)]
+        ds = make_dataset(RawSeries(
+            values=np.concatenate([s.values for s in both]),
+            target=np.concatenate([s.target for s in both]),
+        ))
         model = build(ModelSpec.default("dense", "heteroscedastic", 14, desk=True), seed=0)
         model, _ = train(model, ds, TrainConfig(max_epochs=150, patience=150, batch_size=64, seed=0))
         held_quiet = make_dataset(generate_synthetic(quiet, seed=33))
         held_loud = make_dataset(generate_synthetic(loud, seed=44))
-        _, b_quiet = predict(model, np.stack([ex.features.flatten() for ex in held_quiet.examples]))
-        _, b_loud = predict(model, np.stack([ex.features.flatten() for ex in held_loud.examples]))
+        _, b_quiet = predict(model, held_quiet.x)
+        _, b_loud = predict(model, held_loud.x)
         assert np.median(b_loud) > np.median(b_quiet)
 
     def test_early_stopping_restores_best_epoch(self):
@@ -299,7 +296,7 @@ class TestTrain:
 
         model = build(ModelSpec.default("dense", "point", 14, desk=True), seed=0)
         with pytest.raises(ValueError):
-            train(model, Dataset(examples=()), TrainConfig(max_epochs=1))
+            train(model, Dataset(np.zeros((0, 14)), np.zeros(0), np.zeros((0, 12))), TrainConfig(max_epochs=1))
 
     def test_lstm_trains_and_improves(self):
         ds = tiny_dataset(200, scale=0.5)
@@ -316,7 +313,7 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt.json"
         save_checkpoint(model, path, TrainConfig(max_epochs=3, seed=5))
         loaded = load_checkpoint(path)
-        x = np.stack([ex.features.flatten() for ex in ds.examples])
+        x = ds.x
         np.testing.assert_array_equal(predict(model, x)[0], predict(loaded, x)[0])
         np.testing.assert_array_equal(predict(model, x)[1], predict(loaded, x)[1])
         assert loaded.spec == model.spec and loaded.seed == model.seed

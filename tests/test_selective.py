@@ -49,13 +49,13 @@ class TestMaeAtThreshold:
     def test_infinite_threshold_is_plain_mae(self):
         recs = random_records(500)
         mae, keep = mae_at_threshold(recs, math.inf)
-        expected = np.mean([r.abs_error for r in recs])
+        expected = np.mean(recs.abs_error)
         np.testing.assert_allclose(mae, expected, rtol=1e-12)
         assert keep == 1.0
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            mae_at_threshold([], 1.0)
+            mae_at_threshold(make_records([], [], []), 1.0)
 
 
 class TestErrorKeepCurve:
@@ -65,7 +65,7 @@ class TestErrorKeepCurve:
         last = curve.points[-1]
         assert last.threshold == math.inf
         assert last.keep_fraction == 1.0 and last.n_kept == 200
-        np.testing.assert_allclose(last.mae, np.mean([r.abs_error for r in recs]), rtol=1e-12)
+        np.testing.assert_allclose(last.mae, np.mean(recs.abs_error), rtol=1e-12)
 
     def test_oracle_scores_give_monotone_curve(self):
         rng = np.random.default_rng(1)
@@ -92,6 +92,12 @@ class TestErrorKeepCurve:
         assert len(curve.points) <= 25
         assert curve.n_total == 5000
 
+    def test_points_are_bit_identical_to_mae_at_threshold(self):
+        recs = random_records(1000, seed=8)
+        for p in error_keep_curve(recs, n_points=30).points:
+            mae, keep = mae_at_threshold(recs, p.threshold)
+            assert (p.mae == mae or math.isnan(p.mae) and math.isnan(mae)) and p.keep_fraction == keep
+
     def test_keep_fraction_consistent_with_n_kept(self):
         recs = random_records(333)
         for p in error_keep_curve(recs, n_points=15).points:
@@ -105,7 +111,7 @@ class TestErrorKeepCurve:
 class TestMaeAtKeep:
     def test_keep_all_is_plain_mae(self):
         recs = random_records(101)
-        expected = np.mean([r.abs_error for r in recs])
+        expected = np.mean(recs.abs_error)
         np.testing.assert_allclose(mae_at_keep(recs, 1.0), expected, rtol=1e-12)
 
     def test_hand_case(self):
@@ -154,6 +160,15 @@ class TestMaeAtKeep:
         with pytest.raises(ValueError):
             mae_at_keep(recs, 1.5)
 
+    def test_grid_readout_matches_one_sort_per_fraction(self):
+        rng = np.random.default_rng(6)
+        errors = rng.exponential(1.0, size=999)
+        scores = rng.integers(0, 50, size=999).astype(float)  # many ties
+        readout = keep_grid_readout(records_from(errors, scores))
+        for k in KEEP_GRID:
+            order = np.argsort(scores, kind="stable")
+            assert readout[k] == errors[order[: math.ceil(k * 999)]].mean()
+
     def test_grid_readout_matches_pointwise_calls(self):
         recs = random_records(77)
         readout = keep_grid_readout(recs)
@@ -199,8 +214,21 @@ class TestMakeRecords:
 
     def test_values_carried_over(self):
         recs = make_records([1.0, -2.0], [1.5, -1.0], [0.3, 0.7])
-        assert recs[0].abs_error == 0.5 and recs[1].abs_error == 1.0
-        assert recs[1].score == 0.7
+        assert len(recs) == 2
+        assert recs.abs_error[0] == 0.5 and recs.abs_error[1] == 1.0
+        assert recs.score[1] == 0.7
+
+    def test_abs_error(self):
+        recs = make_records([-1.0], [2.0], [0.5])
+        assert recs.abs_error[0] == 3.0
+
+    def test_bad_scores_rejected(self):
+        with pytest.raises(ValueError):
+            make_records([0.0, 0.0], [0.0, 0.0], [0.1, -0.1])
+        with pytest.raises(ValueError):
+            make_records([0.0], [0.0], [np.nan])
+        with pytest.raises(ValueError):
+            make_records([0.0], [0.0], [np.inf])
 
 
 class TestFileFormats:

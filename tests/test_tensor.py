@@ -134,6 +134,13 @@ class TestMatmulAndShapes:
         out = concat([a, b], axis=1)
         np.testing.assert_allclose(out.data, [[1, 0, 0], [1, 0, 0]])
 
+    def test_item_of_size_one_tensors(self):
+        value = Tensor(np.full((1, 1), 2.5)).item()
+        assert value == 2.5 and type(value) is float
+        assert Tensor(3.0).item() == 3.0
+        with pytest.raises(ValueError):
+            Tensor(np.ones(2)).item()
+
 
 class TestTape:
     def test_constant_loss_has_zero_gradients(self):
