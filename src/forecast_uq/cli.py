@@ -16,6 +16,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .data import (
     read_series_csv,
     write_series_csv,
 )
+from .documents import load_json
 from .exceptions import ConfigError, ShapeError, TrainingError
 from .models import (
     BACKBONES,
@@ -79,6 +81,10 @@ DEFAULT_GENERATOR = GeneratorConfig(
 )
 
 
+# one grid entry; a run config spells it {"backbone": ..., "uncertainty": ...}
+ModelPair = NamedTuple("ModelPair", [("backbone", str), ("uncertainty", str)])
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Command parameters beyond file paths, loadable from one JSON doc.
@@ -89,7 +95,7 @@ class RunConfig:
     """
 
     schema_version: int = 1
-    models: tuple[tuple[str, str], ...] = ()
+    models: tuple[ModelPair, ...] = ()
     train: TrainConfig = TrainConfig()
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     desk: bool = False
@@ -116,44 +122,6 @@ class RunConfig:
         if self.k < 1:
             raise ConfigError("k must be positive")
 
-    @classmethod
-    def from_json(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("run config must be a JSON object")
-        allowed = {
-            "schema_version", "models", "train", "seeds", "desk",
-            "mc_samples", "curve_points", "scatter_rows", "k", "std_threshold",
-        }
-        extra = set(raw) - allowed
-        if extra:
-            raise ConfigError(f"unknown config keys {sorted(extra)}")
-        kwargs = dict(raw)
-        if "models" in kwargs:
-            models = kwargs["models"]
-            if not isinstance(models, list):
-                raise ConfigError("models must be a list of {backbone, uncertainty} objects")
-            pairs = []
-            for entry in models:
-                if not isinstance(entry, dict) or set(entry) != {"backbone", "uncertainty"}:
-                    raise ConfigError(f"bad model entry {entry!r}")
-                pairs.append((entry["backbone"], entry["uncertainty"]))
-            kwargs["models"] = tuple(pairs)
-        if "train" in kwargs:
-            if not isinstance(kwargs["train"], dict):
-                raise ConfigError("train must be an object of training fields")
-            try:
-                kwargs["train"] = TrainConfig(**kwargs["train"])
-            except TypeError as exc:
-                raise ConfigError(f"bad train section: {exc}") from None
-        if "seeds" in kwargs:
-            kwargs["seeds"] = tuple(int(s) for s in kwargs["seeds"])
-        return cls(**kwargs)
-
 
 # -- generate -----------------------------------------------------------------
 
@@ -171,12 +139,8 @@ def _checkpoint_stem(spec: ModelSpec, seed: int) -> str:
     return f"{spec.backbone}_{spec.uncertainty}_seed{seed}"
 
 
-def _train_job(spec_dict: dict, train_dict: dict, data_path: str, std_threshold: float, out_dir: str) -> str:
+def _train_job(spec: ModelSpec, config: TrainConfig, data_path, std_threshold, out_dir) -> str:
     """One (model, seed) training run; module-level so jobs can fork."""
-    spec_dict = dict(spec_dict)
-    spec_dict["layer_sizes"] = tuple(spec_dict["layer_sizes"])
-    spec = ModelSpec(**spec_dict)
-    config = TrainConfig(**train_dict)
     dataset = make_dataset(read_series_csv(data_path), std_threshold)
     model = build(spec, seed=config.seed)
     model, history = train(model, dataset, config)
@@ -198,9 +162,7 @@ def cmd_train(run: RunConfig, data_path, out_dir, jobs: int = 1) -> list[str]:
         spec = ModelSpec.default(backbone, uncertainty, input_dim, desk=run.desk)
         for seed in run.seeds:
             config = replace(run.train, seed=seed)
-            job_args.append(
-                (spec.to_dict(), config.to_dict(), str(data_path), run.std_threshold, str(out_dir))
-            )
+            job_args.append((spec, config, str(data_path), run.std_threshold, str(out_dir)))
 
     stems = []
     if jobs > 1:
@@ -375,7 +337,7 @@ def _resolve_out(args, kind: str) -> str:
 
 
 def _run_config(args) -> RunConfig:
-    run = RunConfig.from_json(args.config) if args.config else RunConfig()
+    run = load_json(args.config, RunConfig) if args.config else RunConfig()
     if args.seeds:
         run = replace(run, seeds=args.seeds)
     if getattr(args, "desk", False):
@@ -418,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _main_generate(args) -> int:
-    config = GeneratorConfig.from_json(args.config) if args.config else DEFAULT_GENERATOR
+    config = load_json(args.config, GeneratorConfig) if args.config else DEFAULT_GENERATOR
     if args.seeds:
-        config = GeneratorConfig.from_dict({**config.to_dict(), "seed": args.seeds[0]})
+        config = replace(config, seed=args.seeds[0])
     out_path = _resolve_out(args, "file")
     parent = os.path.dirname(out_path)
     if parent:

@@ -19,7 +19,6 @@ on.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,18 +156,9 @@ class GeneratorConfig:
     families: dict[str, int]
     series_length: int = 24
     amplitude_range: tuple[float, float] = (10.0, 100.0)
-    noise: dict = field(default_factory=lambda: {"law": "constant", "scale": 1.0})
+    noise: dict[str, object] = field(default_factory=lambda: {"law": "constant", "scale": 1.0})
     seed: int = 0
     schema_version: int = 1
-
-    _FIELDS = (
-        "families",
-        "series_length",
-        "amplitude_range",
-        "noise",
-        "seed",
-        "schema_version",
-    )
 
     def __post_init__(self):
         if self.schema_version != 1:
@@ -185,7 +175,6 @@ class GeneratorConfig:
         lo, hi = self.amplitude_range
         if not (0.0 < lo <= hi):
             raise ConfigError("amplitude_range must satisfy 0 < low <= high")
-        object.__setattr__(self, "amplitude_range", (float(lo), float(hi)))
         self._validate_noise()
 
     def _validate_noise(self):
@@ -215,43 +204,6 @@ class GeneratorConfig:
         extra = set(noise) - keys
         if extra:
             raise ConfigError(f"unknown noise keys {sorted(extra)}")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "GeneratorConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("generator config must be a JSON object")
-        extra = set(raw) - set(cls._FIELDS)
-        if extra:
-            raise ConfigError(f"unknown config keys {sorted(extra)}")
-        kwargs = dict(raw)
-        if "amplitude_range" in kwargs:
-            rng = kwargs["amplitude_range"]
-            if not isinstance(rng, (list, tuple)) or len(rng) != 2:
-                raise ConfigError("amplitude_range must be a [low, high] pair")
-            kwargs["amplitude_range"] = (float(rng[0]), float(rng[1]))
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
-
-    @classmethod
-    def from_json(cls, path) -> "GeneratorConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-        return cls.from_dict(raw)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "families": dict(self.families),
-            "series_length": self.series_length,
-            "amplitude_range": list(self.amplitude_range),
-            "noise": dict(self.noise),
-            "seed": self.seed,
-        }
 
 
 def _pattern(family: str, amplitude: float, n_steps: int, rng: np.random.Generator) -> np.ndarray:

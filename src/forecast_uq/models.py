@@ -19,11 +19,12 @@ one interface.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import Dataset, split
+from .documents import load_json
 from .exceptions import ConfigError, ShapeError, TrainingError
 from .losses import (
     DEFAULT_ALPHA,
@@ -122,16 +123,6 @@ class ModelSpec:
         head = _DESK_LSTM_HEAD if desk else _FULL_LSTM_HEAD
         return cls(backbone, uncertainty, input_dim, sizes, head, dropout_p)
 
-    def to_dict(self) -> dict:
-        return {
-            "backbone": self.backbone,
-            "uncertainty": self.uncertainty,
-            "input_dim": self.input_dim,
-            "layer_sizes": list(self.layer_sizes),
-            "head_size": self.head_size,
-            "dropout_p": self.dropout_p,
-        }
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -156,19 +147,6 @@ class TrainConfig:
             raise ConfigError("batch_size must be at least 1")
         if self.learning_rate <= 0.0:
             raise ConfigError("learning_rate must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "validation_fraction": self.validation_fraction,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-        }
 
 
 def _dropout_mask(rng: np.random.Generator, shape, p: float) -> np.ndarray:
@@ -312,6 +290,9 @@ def _as_batch(x, input_dim: int) -> tuple[np.ndarray, bool]:
         single = False
     if arr.ndim != 2 or arr.shape[1] != input_dim:
         raise ShapeError(f"expected inputs of dimension {input_dim}, got shape {arr.shape}")
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
+        raise ValueError(f"features must be finite, row {bad[0]} is not")
     return arr, single
 
 
@@ -459,40 +440,58 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[Model, d
 # -- checkpoints ---------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _SavedParameter:
+    """One parameter array as saved: its shape and its values in C order."""
+
+    shape: tuple[int, ...]
+    data: list
+
+    def __post_init__(self):
+        data = np.asarray(self.data)  # the loader adds the path to a ValueError
+        if data.ndim != 1 or data.dtype.kind not in "iuf" or not np.isfinite(data).all():
+            raise ConfigError("data must be a flat list of finite numbers")
+        object.__setattr__(self, "data", data.astype(np.float64))
+
+
+@dataclass(frozen=True)
+class _Checkpoint:
+    """The checkpoint document ``save_checkpoint`` writes."""
+
+    schema_version: int
+    architecture: ModelSpec
+    parameters: dict[str, _SavedParameter]
+    rng_seed: int
+    training_config: TrainConfig | None
+
+
 def save_checkpoint(model: Model, path, training_config: TrainConfig | None = None) -> None:
     """One JSON document: architecture, named flat parameter arrays, seed."""
     doc = {
         "schema_version": 1,
-        "architecture": model.spec.to_dict(),
+        "architecture": asdict(model.spec),
         "parameters": {
             name: {"shape": list(p.data.shape), "data": p.data.ravel().tolist()}
             for name, p in model.parameters().items()
         },
         "rng_seed": model.seed,
-        "training_config": None if training_config is None else training_config.to_dict(),
+        "training_config": None if training_config is None else asdict(training_config),
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def load_checkpoint(path) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != 1:
-        raise ConfigError(f"unsupported checkpoint schema_version {doc.get('schema_version')!r}")
-    arch = dict(doc["architecture"])
-    arch["layer_sizes"] = tuple(arch["layer_sizes"])
-    spec = ModelSpec(**arch)
-    model = build(spec, seed=doc.get("rng_seed", 0))
+    doc = load_json(path, _Checkpoint)
+    if doc.schema_version != 1:
+        raise ConfigError(f"{path}: unsupported checkpoint schema_version {doc.schema_version}")
+    model = build(doc.architecture, seed=doc.rng_seed)
     params = model.parameters()
-    saved = doc["parameters"]
-    if set(saved) != set(params):
-        raise ConfigError("checkpoint parameters do not match the architecture")
+    if set(doc.parameters) != set(params):
+        raise ConfigError(f"{path}.parameters: names do not match the architecture")
     for name, p in params.items():
-        entry = saved[name]
-        flat = np.asarray(entry["data"], dtype=np.float64)
-        shape = tuple(entry["shape"])
-        if shape != p.data.shape or flat.size != p.data.size:
-            raise ConfigError(f"checkpoint parameter {name} has shape {shape}, expected {p.data.shape}")
-        p.data[...] = flat.reshape(shape)
+        saved = doc.parameters[name]
+        if saved.shape != p.data.shape or saved.data.size != p.data.size:
+            raise ConfigError(f"{path}: parameter {name} does not fit shape {list(p.data.shape)}")
+        p.data[...] = saved.data.reshape(saved.shape)
     return model

@@ -1,6 +1,6 @@
 """Neural-network kernel: autodiff tensors, layers, Adam."""
 
-from .layers import ACTIVATIONS, DenseLayer, LstmCell, dense_forward, lstm_cell_step
+from .layers import ACTIVATIONS, DenseLayer, LstmCell
 from .optim import Adam
 from .tensor import GradientTape, Tensor, as_tensor, concat, transpose
 
@@ -13,7 +13,5 @@ __all__ = [
     "Tensor",
     "as_tensor",
     "concat",
-    "dense_forward",
-    "lstm_cell_step",
     "transpose",
 ]

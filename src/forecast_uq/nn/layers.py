@@ -94,11 +94,6 @@ class DenseLayer:
         return {"weights": self.weights, "bias": self.bias}
 
 
-def dense_forward(layer: DenseLayer, x) -> np.ndarray:
-    """Plain-array convenience wrapper around ``DenseLayer.forward``."""
-    return layer.forward(x).data
-
-
 @dataclass
 class LstmCell:
     """Gate weights (hidden x (hidden+input)) and biases for one LSTM cell."""
@@ -196,9 +191,3 @@ class LstmCell:
             "w_f": self.w_f, "w_i": self.w_i, "w_c": self.w_c, "w_o": self.w_o,
             "b_f": self.b_f, "b_i": self.b_i, "b_c": self.b_c, "b_o": self.b_o,
         }
-
-
-def lstm_cell_step(cell: LstmCell, h_prev, c_prev, x_t) -> tuple[np.ndarray, np.ndarray]:
-    """Plain-array convenience wrapper around ``LstmCell.step``."""
-    h, c = cell.step(h_prev, c_prev, x_t)
-    return h.data, c.data

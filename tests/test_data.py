@@ -1,5 +1,7 @@
 """Generator, normalization, featurization, split, and CSV round trips."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from forecast_uq.data import (
     split,
     write_series_csv,
 )
+from forecast_uq.documents import from_document
 from forecast_uq.exceptions import ConfigError
 
 
@@ -210,7 +213,7 @@ class TestGenerator:
 class TestGeneratorConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
-            GeneratorConfig.from_dict({"families": {"trend": 1}, "extra_knob": 1})
+            from_document(GeneratorConfig, {"families": {"trend": 1}, "extra_knob": 1}, "config")
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigError):
@@ -246,7 +249,7 @@ class TestGeneratorConfig:
 
     def test_round_trips_through_dict(self):
         config = small_config()
-        again = GeneratorConfig.from_dict(config.to_dict())
+        again = from_document(GeneratorConfig, asdict(config), "config")
         assert again == config
 
 

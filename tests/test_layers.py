@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from forecast_uq.exceptions import ShapeError
-from forecast_uq.nn import (
-    DenseLayer,
-    GradientTape,
-    LstmCell,
-    Tensor,
-    dense_forward,
-    lstm_cell_step,
-)
+from forecast_uq.nn import DenseLayer, GradientTape, LstmCell, Tensor
 
 from test_tensor import check_gradient
 
@@ -27,15 +20,15 @@ def make_dense(weights, bias, activation) -> DenseLayer:
 class TestDenseLayer:
     def test_identity_passthrough(self):
         layer = make_dense(np.eye(2), np.zeros(2), "identity")
-        np.testing.assert_allclose(dense_forward(layer, [3.0, -2.0]), [3.0, -2.0])
+        np.testing.assert_allclose(layer.forward([3.0, -2.0]).data, [3.0, -2.0])
 
     def test_relu_clamps_negatives(self):
         layer = make_dense(np.eye(2), np.zeros(2), "relu")
-        np.testing.assert_allclose(dense_forward(layer, [3.0, -2.0]), [3.0, 0.0])
+        np.testing.assert_allclose(layer.forward([3.0, -2.0]).data, [3.0, 0.0])
 
     def test_sigmoid_with_bias(self):
         layer = make_dense([[1.0, 1.0]], [0.5], "sigmoid")
-        out = dense_forward(layer, [0.0, 0.0])
+        out = layer.forward([0.0, 0.0]).data
         np.testing.assert_allclose(out, [0.6224593312018546], atol=1e-15)
 
     def test_dimension_mismatch_raises(self):
@@ -49,7 +42,7 @@ class TestDenseLayer:
         batch = rng.normal(size=(5, 4))
         together = layer.forward(Tensor(batch)).data
         for i, row in enumerate(batch):
-            np.testing.assert_allclose(dense_forward(layer, row), together[i])
+            np.testing.assert_allclose(layer.forward(row).data, together[i])
 
     def test_glorot_init_bounds_and_zero_bias(self):
         rng = np.random.default_rng(1)
@@ -91,16 +84,16 @@ class TestLstmCell:
 
     def test_zero_weights_zero_state_is_fixed_point(self):
         cell = self.zero_cell()
-        h, c = lstm_cell_step(cell, [[0.0]], [[0.0]], [[5.0]])
-        np.testing.assert_allclose(h, [[0.0]])
-        np.testing.assert_allclose(c, [[0.0]])
+        h, c = cell.step([[0.0]], [[0.0]], [[5.0]])
+        np.testing.assert_allclose(h.data, [[0.0]])
+        np.testing.assert_allclose(c.data, [[0.0]])
 
     def test_zero_weights_unit_cell_state(self):
         # gates all sigmoid(0)=0.5; c' = 0.5*1 + 0.5*tanh(0) = 0.5
         cell = self.zero_cell()
-        h, c = lstm_cell_step(cell, [[0.0]], [[1.0]], [[-3.0]])
-        np.testing.assert_allclose(c, [[0.5]], atol=1e-15)
-        np.testing.assert_allclose(h, [[0.23105857863000487]], atol=1e-15)
+        h, c = cell.step([[0.0]], [[1.0]], [[-3.0]])
+        np.testing.assert_allclose(c.data, [[0.5]], atol=1e-15)
+        np.testing.assert_allclose(h.data, [[0.23105857863000487]], atol=1e-15)
 
     def test_run_equals_manual_unroll(self):
         rng = np.random.default_rng(3)
@@ -109,8 +102,8 @@ class TestLstmCell:
         h = np.zeros((4, 3))
         c = np.zeros((4, 3))
         for step in steps:
-            h, c = lstm_cell_step(cell, h, c, step)
-        np.testing.assert_allclose(cell.run([Tensor(s) for s in steps]).data, h)
+            h, c = cell.step(h, c, step)
+        np.testing.assert_allclose(cell.run([Tensor(s) for s in steps]).data, h.data)
 
     def test_run_sequence_lengths_and_shapes(self):
         rng = np.random.default_rng(4)

@@ -1,5 +1,8 @@
 """Model building, training loop, prediction, baselines, checkpoints."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -139,6 +142,13 @@ class TestPredict:
         with pytest.raises(ShapeError):
             predict(model, np.zeros((3, 9)))
 
+    def test_non_finite_features_rejected(self):
+        model = build(ModelSpec.default("dense", "heteroscedastic", 14, desk=True), seed=0)
+        x = np.zeros((3, 14))
+        x[2, 5] = np.nan
+        with pytest.raises(ValueError, match="row 2"):
+            predict(model, x)
+
 
 class TestMcDropout:
     def test_zero_dropout_is_deterministic_forward(self):
@@ -177,6 +187,13 @@ class TestMcDropout:
         model = build(ModelSpec.default("dense", "mc_dropout", 14, desk=True), seed=0)
         with pytest.raises(ValueError):
             mc_dropout_predict(model, np.zeros((1, 14)), n_samples=1)
+
+    def test_non_finite_features_rejected(self):
+        model = build(ModelSpec.default("lstm", "mc_dropout", 14, desk=True), seed=0)
+        x = np.zeros(14)
+        x[0] = -np.inf
+        with pytest.raises(ValueError, match="row 0"):
+            mc_dropout_predict(model, x, n_samples=2)
 
 
 class TestBaselines:
@@ -332,3 +349,41 @@ class TestCheckpoints:
         path.write_text(doc)
         with pytest.raises(ConfigError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("rng_seed"), ".rng_seed: missing"),
+        (lambda doc: doc["parameters"]["forecast_tower.out.bias"].update(data=[1.0, 2.0]),
+         ": parameter forecast_tower.out.bias does not fit shape [1]"),
+        (lambda doc: doc["parameters"]["scale_pre"].update(data=[[1.0], [2.0, 3.0]]),
+         ".parameters.scale_pre: setting an array element with a sequence."),
+        (lambda doc: doc["parameters"]["scale_pre"].update(data=["1.0"]),
+         ".parameters.scale_pre: data must be a flat list of finite numbers"),
+        (lambda doc: doc["parameters"]["scale_pre"].update(data=[float("inf")]),
+         ".parameters.scale_pre: data must be a flat list of finite numbers"),
+        (lambda doc: doc["parameters"]["scale_pre"].update(shape=[1], data=[0.0]),
+         ": parameter scale_pre does not fit shape [1, 1]"),
+        (lambda doc: doc["parameters"].pop("scale_pre"),
+         ".parameters: names do not match the architecture"),
+        (lambda doc: doc["training_config"].update(beta1=True),
+         ".training_config.beta1: expected a finite number, got true"),
+    ])
+    def test_malformed_document_rejected(self, tmp_path, edit, message):
+        model = build(ModelSpec("dense", "homoscedastic", 3, (2,)), seed=0)
+        path = tmp_path / "model.ckpt.json"
+        save_checkpoint(model, path, TrainConfig())
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+        with pytest.raises(ConfigError) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(str(path) + message)
+
+    def test_earlier_checkpoint_loads_and_resaves_identically(self, tmp_path):
+        # written by the package before checkpoints went through the strict loader
+        fixture = Path(__file__).parent / "data" / "lstm_heteroscedastic_v1.ckpt.json"
+        model = load_checkpoint(fixture)
+        assert model.spec == ModelSpec("lstm", "heteroscedastic", 4, (2,), head_size=2)
+        assert model.seed == 7
+        again = tmp_path / "again.ckpt.json"
+        save_checkpoint(model, again, TrainConfig(max_epochs=3, seed=7, learning_rate=0.01))
+        assert again.read_bytes() == fixture.read_bytes()
