@@ -121,6 +121,8 @@ class RunConfig:
             raise ConfigError("scatter_rows must be positive")
         if self.k < 1:
             raise ConfigError("k must be positive")
+        if not 0.0 < self.std_threshold < np.inf:
+            raise ConfigError("std_threshold must be positive and finite")
 
 
 # -- generate -----------------------------------------------------------------

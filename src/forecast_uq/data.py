@@ -112,7 +112,7 @@ def center_scale_normalize(z, std_threshold: float = DEFAULT_STD_THRESHOLD) -> n
     threshold a series is only centered, so near-constant series do
     not blow up.
     """
-    if std_threshold <= 0.0:
+    if not std_threshold > 0.0:  # also rejects NaN
         raise ValueError("std_threshold must be positive")
     z = np.asarray(z, dtype=np.float64)
     if z.ndim == 0 or z.shape[-1] < 2:
@@ -182,16 +182,13 @@ class GeneratorConfig:
         law = noise.get("law")
         if law not in NOISE_LAWS:
             raise ConfigError(f"unknown noise law {law!r}, expected one of {NOISE_LAWS}")
-        number = (int, float)
         if law == "constant":
-            keys, scale = {"law", "scale"}, noise.get("scale")
-            if not isinstance(scale, number) or scale < 0.0:
+            keys, scale = {"law", "scale"}, _noise_number(noise, "scale")
+            if scale < 0.0:
                 raise ConfigError("constant noise needs scale >= 0")
         else:
             keys = {"law", "low", "high"}
-            lo, hi = noise.get("low"), noise.get("high")
-            if not (isinstance(lo, number) and isinstance(hi, number)):
-                raise ConfigError(f"{law} noise needs numeric low and high")
+            lo, hi = _noise_number(noise, "low"), _noise_number(noise, "high")
             if law == "uniform" and not 0.0 <= lo <= hi:
                 raise ConfigError("uniform noise needs 0 <= low <= high")
             if law == "amplitude_linear":
@@ -204,6 +201,14 @@ class GeneratorConfig:
         extra = set(noise) - keys
         if extra:
             raise ConfigError(f"unknown noise keys {sorted(extra)}")
+
+
+def _noise_number(noise: dict, key: str):
+    """``noise[key]`` if it is an int or float; booleans are not numbers."""
+    value = noise.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"noise.{key} must be a number, got {value!r}")
+    return value
 
 
 def _pattern(family: str, amplitude: float, n_steps: int, rng: np.random.Generator) -> np.ndarray:

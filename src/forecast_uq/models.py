@@ -271,7 +271,7 @@ def build(spec: ModelSpec, seed: int = 0) -> Model:
     scale_pre = None
     if spec.uncertainty == "homoscedastic":
         # pre-activation 0 puts the shared scale at exactly 1.0 initially
-        scale_pre = Tensor(np.zeros((1, 1)), requires_grad=True, name="scale_pre")
+        scale_pre = Tensor(np.zeros((1, 1)), requires_grad=True)
     mode = {
         "point": "none",
         "mc_dropout": "none",
@@ -279,7 +279,10 @@ def build(spec: ModelSpec, seed: int = 0) -> Model:
         "heteroscedastic": "heteroscedastic",
     }[spec.uncertainty]
     scale = ScaleSpec(mode=mode, alpha=DEFAULT_ALPHA, floor=DEFAULT_SCALE_FLOOR)
-    return Model(spec=spec, forecast_tower=forecast_tower, scale_tower=scale_tower, scale_pre=scale_pre, scale=scale, seed=seed)
+    model = Model(spec=spec, forecast_tower=forecast_tower, scale_tower=scale_tower, scale_pre=scale_pre, scale=scale, seed=seed)
+    for name, p in model.parameters().items():
+        p.name = name  # so training errors name the parameter
+    return model
 
 
 def _as_batch(x, input_dim: int) -> tuple[np.ndarray, bool]:
@@ -449,7 +452,9 @@ class _SavedParameter:
 
     def __post_init__(self):
         data = np.asarray(self.data)  # the loader adds the path to a ValueError
-        if data.ndim != 1 or data.dtype.kind not in "iuf" or not np.isfinite(data).all():
+        # numpy reads [0.5, true] as [0.5, 1.0], so booleans are looked for in the list
+        numeric = data.dtype.kind in "iuf" and bool not in map(type, self.data)
+        if data.ndim != 1 or not numeric or not np.isfinite(data).all():
             raise ConfigError("data must be a flat list of finite numbers")
         object.__setattr__(self, "data", data.astype(np.float64))
 

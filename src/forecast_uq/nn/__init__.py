@@ -2,7 +2,7 @@
 
 from .layers import ACTIVATIONS, DenseLayer, LstmCell
 from .optim import Adam
-from .tensor import GradientTape, Tensor, as_tensor, concat, transpose
+from .tensor import GradientTape, Tensor, affine, as_tensor, concat
 
 __all__ = [
     "ACTIVATIONS",
@@ -11,7 +11,7 @@ __all__ = [
     "GradientTape",
     "LstmCell",
     "Tensor",
+    "affine",
     "as_tensor",
     "concat",
-    "transpose",
 ]

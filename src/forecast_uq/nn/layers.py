@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ShapeError
-from .tensor import Tensor, as_tensor, concat, transpose
+from .tensor import Tensor, affine, as_tensor, concat
 
 ACTIVATIONS = ("relu", "sigmoid", "tanh", "elu", "identity")
 
@@ -87,7 +87,7 @@ class DenseLayer:
         squeeze = x.data.ndim == 1
         if squeeze:
             x = x.reshape(1, -1)
-        out = _apply_activation(x @ transpose(self.weights) + self.bias, self.activation)
+        out = _apply_activation(affine(x, self.weights, self.bias), self.activation)
         return out.reshape(-1) if squeeze else out
 
     def parameters(self) -> dict[str, Tensor]:
@@ -157,11 +157,11 @@ class LstmCell:
             x_t = x_t.reshape(1, -1)
 
         hx = concat([h_prev, x_t], axis=1)
-        f_t = (hx @ transpose(self.w_f) + self.b_f).sigmoid()
-        i_t = (hx @ transpose(self.w_i) + self.b_i).sigmoid()
-        cand = (hx @ transpose(self.w_c) + self.b_c).tanh()
+        f_t = affine(hx, self.w_f, self.b_f).sigmoid()
+        i_t = affine(hx, self.w_i, self.b_i).sigmoid()
+        cand = affine(hx, self.w_c, self.b_c).tanh()
         c_t = f_t * c_prev + i_t * cand
-        o_t = (hx @ transpose(self.w_o) + self.b_o).sigmoid()
+        o_t = affine(hx, self.w_o, self.b_o).sigmoid()
         h_t = o_t * c_t.tanh()
 
         if squeeze:

@@ -1,8 +1,11 @@
-"""Adam optimizer with bias correction.
+"""Adam optimizer with bias correction over one flat buffer.
 
-State (first/second moment estimates and the step counter) lives in the
-optimizer instance, one slot per parameter tensor. Updates are applied
-in place to the parameter arrays.
+At construction the optimizer copies every parameter into one flat
+float64 buffer and rebinds each ``Tensor.data`` to a view of it, so
+in-place writes to a parameter (checkpoint loads, best-state restores)
+land in the buffer. A parameter therefore belongs to the last optimizer
+built over it. The first/second moment estimates are flat buffers of the
+same size, and each step is one elementwise update over all of them.
 """
 
 from __future__ import annotations
@@ -28,26 +31,28 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {id(p): np.zeros_like(p.data) for p in self.params}
-        self.v = {id(p): np.zeros_like(p.data) for p in self.params}
+        self.flat = np.concatenate([p.data.ravel() for p in self.params])
+        offset = 0
+        for p in self.params:
+            p.data = self.flat[offset : offset + p.data.size].reshape(p.data.shape)
+            offset += p.data.size
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
     def step(self, grads: dict[Tensor, np.ndarray]) -> None:
         """One Adam update from a {parameter: gradient} mapping.
 
-        Raises TrainingError on non-finite gradients so callers can report
-        where training blew up.
+        Raises TrainingError naming the first parameter with a non-finite
+        gradient, before any parameter or moment changes.
         """
+        g = np.concatenate([grads[p].ravel() for p in self.params])
+        if not np.isfinite(g).all():
+            bad = next(p for p in self.params if not np.isfinite(grads[p]).all())
+            raise TrainingError(f"non-finite gradient for parameter {bad.name or id(bad)}")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for p in self.params:
-            g = grads[p]
-            if not np.all(np.isfinite(g)):
-                raise TrainingError(
-                    f"non-finite gradient for parameter {p.name or id(p)}"
-                )
-            key = id(p)
-            m = self.m[key] = b1 * self.m[key] + (1.0 - b1) * g
-            v = self.v[key] = b2 * self.v[key] + (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1**self.t)
-            v_hat = v / (1.0 - b2**self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m = self.m = b1 * self.m + (1.0 - b1) * g
+        v = self.v = b2 * self.v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**self.t)
+        v_hat = v / (1.0 - b2**self.t)
+        self.flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "GradientTape", "as_tensor", "concat", "transpose"]
+__all__ = ["Tensor", "GradientTape", "affine", "as_tensor", "concat"]
 
 _state = threading.local()
 
@@ -220,9 +220,16 @@ def _matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record_op((a, b), da @ db, lambda g: (g @ db.T, da.T @ g))
 
 
-def transpose(t: Tensor) -> Tensor:
-    """Matrix transpose; gradient transposes back."""
-    return _record_op((t,), t.data.T, lambda g: (g.T,))
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w.T + b`` for rows ``x`` (n, in), weights (out, in), bias (out,), as one op."""
+    dx, dw = x.data, w.data
+    if dx.ndim != 2 or dw.ndim != 2:
+        raise ValueError(f"affine expects 2-D operands, got {dx.shape} and {dw.shape}")
+    return _record_op(
+        (x, w, b),
+        dx @ dw.T + b.data,
+        lambda g: (g @ dw, (dx.T @ g).T, g.sum(axis=0)),
+    )
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -286,4 +293,4 @@ class GradientTape:
                     grads[key] = grads[key] + g
                 else:
                     grads[key] = g
-        return {p: grads.get(id(p), np.zeros_like(p.data)) for p in params}
+        return {p: grads[id(p)] if id(p) in grads else np.zeros_like(p.data) for p in params}

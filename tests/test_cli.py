@@ -265,6 +265,37 @@ class TestMalformedCsv:
         assert err.startswith(f"error: {bad}, {message}")
 
 
+class TestBooleansAreNotNumbers:
+    """A JSON true or false where a number belongs fails: exit 1, one stderr line."""
+
+    @pytest.mark.parametrize("noise, field", [
+        ({"law": "constant", "scale": True}, "noise.scale"),
+        ({"law": "uniform", "low": False, "high": True}, "noise.low"),
+    ])
+    def test_generate(self, tmp_path, capsys, noise, field):
+        config = tmp_path / "generator.json"
+        config.write_text(json.dumps({**GENERATOR, "noise": noise}))
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "d.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"error: {config}: {field} must be a number, got ")
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_evaluate(self, workspace, tmp_path, capsys):
+        ckpts = tmp_path / "checkpoints"
+        ckpts.mkdir()
+        source = sorted(workspace["ckpts"].glob("*.ckpt.json"))[0]
+        doc = json.loads(source.read_text())
+        doc["parameters"]["forecast_tower.layer0.weights"]["data"][1] = True
+        path = ckpts / source.name
+        path.write_text(json.dumps(doc))
+        argv = ["evaluate", "--config", str(workspace["run_config"]), "--data",
+                str(workspace["data"]), "--checkpoints", str(ckpts), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (f'error: {path}.parameters."forecast_tower.layer0.weights": '
+                       "data must be a flat list of finite numbers\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["generate"],
     ["evaluate", "--data", "x.csv", "--checkpoints", "c"],

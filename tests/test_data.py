@@ -73,6 +73,10 @@ class TestCenterScaleNormalize:
         with pytest.raises(ValueError):
             center_scale_normalize(np.array([1.0, 2.0]), std_threshold=0.0)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="std_threshold must be positive"):
+            center_scale_normalize(np.array([1.0, 2.0]), std_threshold=float("nan"))
+
 
 class TestFeaturize:
     """Feature rows are (T normalized values, raw mean, raw std)."""
@@ -242,6 +246,17 @@ class TestGeneratorConfig:
             small_config(noise={"law": "uniform", "low": 5.0, "high": 1.0})
         with pytest.raises(ConfigError):
             small_config(noise={"law": "constant", "scale": 1.0, "typo": 2})
+
+    @pytest.mark.parametrize("noise, message", [
+        ({"law": "constant", "scale": True}, "noise.scale must be a number, got True"),
+        ({"law": "uniform", "low": False, "high": 2.0}, "noise.low must be a number, got False"),
+        ({"law": "amplitude_linear", "low": 1.0, "high": True}, "noise.high must be a number, got True"),
+        ({"law": "constant"}, "noise.scale must be a number, got None"),
+    ])
+    def test_noise_numbers_exclude_booleans(self, noise, message):
+        with pytest.raises(ConfigError) as info:
+            small_config(noise=noise)
+        assert str(info.value) == message
 
     def test_wrong_schema_version_rejected(self):
         with pytest.raises(ConfigError):

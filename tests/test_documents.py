@@ -69,6 +69,12 @@ class TestFieldTypes:
                 "config: unknown family 'sawtooth', expected one of "
                 "('periodic', 'spikes', 'trend', 'noise')")
 
+    def test_std_threshold_must_be_positive_and_finite(self):
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="std_threshold must be positive and finite"):
+                RunConfig(std_threshold=bad)
+        assert RunConfig(std_threshold=0.5).std_threshold == 0.5
+
     def test_model_pairs_are_objects_that_unpack_as_pairs(self):
         run = from_document(
             RunConfig, {"models": [{"backbone": "lstm", "uncertainty": "point"}]}, "config"
@@ -167,7 +173,8 @@ GENERATOR_BASE = {
 }
 GENERATOR_PATHS = {
     "families": OBJ, "families/trend": INT, "series_length": INT, "amplitude_range": ARR,
-    "amplitude_range/1": NUM, "noise": OBJ, "seed": INT, "schema_version": INT,
+    "amplitude_range/1": NUM, "noise": OBJ, "noise/scale": NUM, "seed": INT,
+    "schema_version": INT,
 }
 BIAS = "parameters/forecast_tower.out.bias"
 CHECKPOINT_PATHS = {
@@ -182,11 +189,11 @@ CHECKPOINT_PATHS = {
 # objects whose keys are fixed, and the keys a document may not leave out
 OBJECTS = {
     "run": ["", "train", "models/0"],
-    "generator": [""],
+    "generator": ["", "noise"],
     "checkpoint": ["", "architecture", "parameters", BIAS, "training_config"],
 }
 REQUIRED = {
-    "generator": ["families"],
+    "generator": ["families", "noise/scale"],
     "checkpoint": [
         "schema_version", "architecture", "parameters", "rng_seed", "training_config",
         "architecture/backbone", "architecture/uncertainty", "architecture/input_dim",
@@ -310,6 +317,7 @@ def test_valid_bases_run(cli_files):
 @example(case=("run", "set", "std_threshold", float("nan")))
 @example(case=("generator", "set", "noise", []))
 @example(case=("generator", "set", "seed", 1.5))
+@example(case=("generator", "set", "noise/scale", True))
 @example(case=("checkpoint", "delete", "architecture/layer_sizes"))
 @example(case=("checkpoint", "set", "architecture/dropout_p", "0.5"))
 def test_malformed_file_gives_one_error_line(cli_files, case):

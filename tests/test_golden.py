@@ -3,7 +3,9 @@
 The sha256 of every artifact is pinned, so a refactor of the data,
 selective or cluster code that changes a single byte of the dataset,
 the checkpoints, the comparison matrix, the curves, the scatter table
-or the cluster outputs fails here. The digests depend on float64
+or the cluster outputs fails here. A second run on the same dataset
+trains two LSTM models, so the tape, the layers and the optimizer are
+pinned for both backbones. The digests depend on float64
 arithmetic being reproducible on the platform; regenerate them only for
 a change that is meant to alter the outputs, and say so.
 """
@@ -114,19 +116,46 @@ GOLDEN = {
         "3f310ac2e020f4498f24feb6a746f80fb8e44e33f72a3f114f7d3e5d7545deec",
 }
 
+LSTM_RUN = {
+    "models": [
+        {"backbone": "lstm", "uncertainty": u} for u in ("heteroscedastic", "mc_dropout")
+    ],
+    "train": {"max_epochs": 2, "patience": 2, "batch_size": 32},
+    "seeds": [0],
+    "desk": True,
+}
+
+LSTM_GOLDEN = {
+    "lstm_ckpt/lstm_heteroscedastic_seed0.ckpt.json":
+        "3919af270ebd8db09e0d0602990f90d42ee78fcfd50dbfa9d6ddcdf2a9520dd0",
+    "lstm_ckpt/lstm_heteroscedastic_seed0.history.json":
+        "982bd1f8c563bdca553f3531d8a9181b926552f9bfa659432eb6e2cf29cd4b95",
+    "lstm_ckpt/lstm_mc_dropout_seed0.ckpt.json":
+        "65c43889a347589d5dc87533d34a3134fab055891fbcf19d2ba48a2c5726ff52",
+    "lstm_ckpt/lstm_mc_dropout_seed0.history.json":
+        "0ad0749d55725eb6305db112245e53a500958d33804c28fbe84e3bfef62cfcbf",
+}
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory):
+def generated(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     (root / "generator.json").write_text(json.dumps(GENERATOR))
+    data = root / "dataset.csv"
+    assert main(["generate", "--config", str(root / "generator.json"), "--out", str(data)]) == 0
+    return root, data
+
+
+@pytest.fixture(scope="module")
+def digests(generated):
+    root, data = generated
     (root / "run.json").write_text(json.dumps(RUN))
-    data, run = root / "dataset.csv", str(root / "run.json")
+    run = str(root / "run.json")
     stages = (
-        ["generate", "--config", str(root / "generator.json"), "--out", str(data)],
         ["train", "--config", run, "--data", str(data), "--out", str(root / "ckpt")],
         ["evaluate", "--config", run, "--data", str(data),
          "--checkpoints", str(root / "ckpt"), "--out", str(root / "eval")],
@@ -140,6 +169,16 @@ def digests(tmp_path_factory):
     return {str(p.relative_to(root)): sha256(p) for p in files}
 
 
+@pytest.fixture(scope="module")
+def lstm_digests(generated):
+    root, data = generated
+    (root / "lstm_run.json").write_text(json.dumps(LSTM_RUN))
+    out = root / "lstm_ckpt"
+    argv = ["train", "--config", str(root / "lstm_run.json"), "--data", str(data), "--out", str(out)]
+    assert main(argv) == 0
+    return {str(p.relative_to(root)): sha256(p) for p in sorted(out.iterdir())}
+
+
 def test_artifact_set_is_pinned(digests):
     assert sorted(digests) == sorted(GOLDEN)
 
@@ -147,3 +186,12 @@ def test_artifact_set_is_pinned(digests):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifact_bytes_are_pinned(digests, name):
     assert digests[name] == GOLDEN[name]
+
+
+def test_lstm_artifact_set_is_pinned(lstm_digests):
+    assert sorted(lstm_digests) == sorted(LSTM_GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(LSTM_GOLDEN))
+def test_lstm_artifact_bytes_are_pinned(lstm_digests, name):
+    assert lstm_digests[name] == LSTM_GOLDEN[name]

@@ -99,6 +99,12 @@ class TestBuild:
         assert not np.array_equal(a.parameters()["forecast_tower.layer0.weights"].data,
                                   b.parameters()["forecast_tower.layer0.weights"].data)
 
+    def test_parameters_are_named_by_their_keys(self):
+        for backbone in ("dense", "lstm"):
+            model = build(ModelSpec.default(backbone, "homoscedastic", 14, desk=True), seed=0)
+            for name, p in model.parameters().items():
+                assert p.name == name
+
     def test_towers_share_no_parameters(self):
         model = build(ModelSpec.default("dense", "heteroscedastic", 26, desk=True), seed=0)
         forecast_ids = {id(p) for n, p in model.parameters().items() if n.startswith("forecast_tower.")}
@@ -308,6 +314,23 @@ class TestTrain:
         with pytest.raises(TrainingError, match="epoch 1"):
             train(model, ds, TrainConfig(max_epochs=2, patience=2, batch_size=16, seed=0))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_gradient_names_the_parameter(self):
+        # a finite loss whose backward pass overflows in layer1's weight gradient
+        ds = tiny_dataset(50)
+        model = build(ModelSpec.default("dense", "point", 14, desk=True), seed=0)
+        params = model.parameters()
+        params["forecast_tower.layer1.weights"].data[...] = 0.0
+        params["forecast_tower.layer1.bias"].data[...] = 1e-10
+        params["forecast_tower.out.weights"].data[...] = 1e308
+        before = {name: p.data.copy() for name, p in params.items()}
+        with pytest.raises(TrainingError) as info:
+            train(model, ds, TrainConfig(max_epochs=2, patience=2, batch_size=16, seed=0))
+        assert str(info.value) == (
+            "epoch 1, batch 0: non-finite gradient for parameter forecast_tower.layer1.weights"
+        )
+        assert all(np.array_equal(before[name], p.data) for name, p in params.items())
+
     def test_empty_dataset_rejected(self):
         from forecast_uq.data import Dataset
 
@@ -366,6 +389,8 @@ class TestCheckpoints:
          ".parameters: names do not match the architecture"),
         (lambda doc: doc["training_config"].update(beta1=True),
          ".training_config.beta1: expected a finite number, got true"),
+        (lambda doc: doc["parameters"]["forecast_tower.layer0.weights"]["data"].__setitem__(1, True),
+         '.parameters."forecast_tower.layer0.weights": data must be a flat list of finite numbers'),
     ])
     def test_malformed_document_rejected(self, tmp_path, edit, message):
         model = build(ModelSpec("dense", "homoscedastic", 3, (2,)), seed=0)

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from forecast_uq.nn import GradientTape, Tensor, as_tensor, concat, transpose
+from forecast_uq.nn import GradientTape, Tensor, affine, as_tensor, concat
 
 
 def finite_difference(loss_fn, param: Tensor, eps: float = 1e-6) -> np.ndarray:
@@ -117,11 +117,22 @@ class TestMatmulAndShapes:
         with pytest.raises(ValueError):
             Tensor(np.ones(3)) @ Tensor(np.ones((3, 2)))
 
-    def test_transpose_gradient(self):
+    def test_affine_gradient(self):
         rng = np.random.default_rng(6)
-        a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 2)))
-        check_gradient(lambda: (transpose(a) @ w).sum(), [a])
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=2), requires_grad=True)
+        check_gradient(lambda: affine(x, w, b).tanh().sum(), [x, w, b])
+
+    def test_affine_values(self):
+        rng = np.random.default_rng(6)
+        x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(2, 3)), rng.normal(size=2)
+        out = affine(Tensor(x), Tensor(w), Tensor(b))
+        assert np.array_equal(out.data, x @ w.T + b)
+
+    def test_affine_requires_2d(self):
+        with pytest.raises(ValueError):
+            affine(Tensor(np.ones(3)), Tensor(np.ones((2, 3))), Tensor(np.zeros(2)))
 
     def test_concat_gradient(self):
         rng = np.random.default_rng(7)
@@ -150,6 +161,15 @@ class TestTape:
             loss = (c * c).sum()
         grads = tape.gradients(loss, [p])
         np.testing.assert_allclose(grads[p], np.zeros(3))
+
+    def test_only_unreached_parameters_get_zeros(self):
+        p = Tensor(np.ones((2, 3)), requires_grad=True)
+        q = Tensor(np.ones(4), requires_grad=True)
+        with GradientTape() as tape:
+            loss = (p * 3.0).sum()
+        grads = tape.gradients(loss, [p, q])
+        np.testing.assert_allclose(grads[p], np.full((2, 3), 3.0))
+        assert grads[q].shape == (4,) and not grads[q].any()
 
     def test_loss_must_be_scalar(self):
         p = Tensor(np.ones(3), requires_grad=True)
