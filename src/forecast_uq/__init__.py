@@ -25,7 +25,6 @@ from .exceptions import ConfigError, ShapeError, TrainingError
 from .losses import (
     DEFAULT_ALPHA,
     DEFAULT_SCALE_FLOOR,
-    ScaleSpec,
     elu_plus_one,
     laplace_likelihood,
     laplace_nll,
@@ -84,7 +83,6 @@ __all__ = [
     "ModelSpec",
     "PredictionRecords",
     "RawSeries",
-    "ScaleSpec",
     "ShapeError",
     "TrainConfig",
     "TrainingError",

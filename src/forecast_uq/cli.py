@@ -110,6 +110,11 @@ class RunConfig:
             raise ConfigError(f"unsupported schema_version {self.schema_version!r}")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be non-negative, got {min(self.seeds)}")
+        for name, items in (("seeds", self.seeds), ("models", self.models)):
+            if len(set(items)) < len(items):
+                raise ConfigError(f"{name} must not repeat")
         for backbone, uncertainty in self.models:
             if backbone not in BACKBONES or uncertainty not in UNCERTAINTIES:
                 raise ConfigError(f"unknown model ({backbone!r}, {uncertainty!r})")
@@ -168,7 +173,8 @@ def cmd_train(run: RunConfig, data_path, out_dir, jobs: int = 1) -> list[str]:
 
     stems = []
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts every worker up front, so never ask for idle ones
+        with ProcessPoolExecutor(max_workers=min(jobs, len(job_args))) as pool:
             for stem in pool.map(_train_job, *zip(*job_args)):
                 stems.append(stem)
                 print(f"trained {stem}")
@@ -329,6 +335,16 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _resolve_out(args, kind: str) -> str:
     if args.out:
         return args.out
@@ -367,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the model grid on a dataset")
     common(p, data_required=True)
     p.add_argument("--desk", action="store_true", help="small architecture profile")
-    p.add_argument("--jobs", type=int, default=1, help="parallel training jobs")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel training jobs")
     p.set_defaults(func=_main_train)
 
     p = sub.add_parser("evaluate", help="selective-prediction comparison matrix")

@@ -172,6 +172,8 @@ class GeneratorConfig:
                 raise ConfigError(f"family count must be a positive integer, got {name}={count!r}")
         if self.series_length < 2:
             raise ConfigError("series_length must be at least 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         lo, hi = self.amplitude_range
         if not (0.0 < lo <= hi):
             raise ConfigError("amplitude_range must satisfy 0 < low <= high")

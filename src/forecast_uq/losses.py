@@ -14,31 +14,12 @@ functions and safe for concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .nn.tensor import Tensor
 
 DEFAULT_ALPHA = 1.0
 DEFAULT_SCALE_FLOOR = 1e-3
-
-
-@dataclass(frozen=True)
-class ScaleSpec:
-    """How a model treats the noise scale of its output distribution."""
-
-    mode: str = "none"  # none | homoscedastic | heteroscedastic
-    alpha: float = DEFAULT_ALPHA
-    floor: float = DEFAULT_SCALE_FLOOR
-
-    def __post_init__(self):
-        if self.mode not in ("none", "homoscedastic", "heteroscedastic"):
-            raise ValueError(f"unknown scale mode {self.mode!r}")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.floor <= 0:
-            raise ValueError("floor must be positive")
 
 
 def _is_tensor(*values) -> bool:

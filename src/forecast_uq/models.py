@@ -26,14 +26,7 @@ import numpy as np
 from .data import Dataset, split
 from .documents import load_json
 from .exceptions import ConfigError, ShapeError, TrainingError
-from .losses import (
-    DEFAULT_ALPHA,
-    DEFAULT_SCALE_FLOOR,
-    ScaleSpec,
-    elu_plus_one,
-    laplace_nll,
-    mae_loss,
-)
+from .losses import DEFAULT_SCALE_FLOOR, elu_plus_one, laplace_nll, mae_loss
 from .nn import Adam, DenseLayer, GradientTape, LstmCell, Tensor, concat
 
 __all__ = [
@@ -147,6 +140,11 @@ class TrainConfig:
             raise ConfigError("batch_size must be at least 1")
         if self.learning_rate <= 0.0:
             raise ConfigError("learning_rate must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1)")
+        if self.eps <= 0.0:
+            raise ConfigError("eps must be positive")
 
 
 def _dropout_mask(rng: np.random.Generator, shape, p: float) -> np.ndarray:
@@ -232,7 +230,6 @@ class Model:
     forecast_tower: object
     scale_tower: object | None
     scale_pre: Tensor | None
-    scale: ScaleSpec
     seed: int
 
     def parameters(self) -> dict[str, Tensor]:
@@ -247,14 +244,14 @@ class Model:
         return self.forecast_tower.forward(x, dropout_p, rng)
 
     def forward_scale(self, x: np.ndarray) -> Tensor | None:
-        """Positive noise scale for the active uncertainty mode, as a tensor."""
-        if self.scale.mode == "homoscedastic":
+        """Positive noise scale as a tensor; None for models without one."""
+        if self.spec.uncertainty == "homoscedastic":
             pre = self.scale_pre
-        elif self.scale.mode == "heteroscedastic":
+        elif self.spec.uncertainty == "heteroscedastic":
             pre = self.scale_tower.forward(x)
         else:
             return None
-        return elu_plus_one(pre, self.scale.alpha).clip_min(self.scale.floor)
+        return elu_plus_one(pre).clip_min(DEFAULT_SCALE_FLOOR)
 
 
 def build(spec: ModelSpec, seed: int = 0) -> Model:
@@ -272,60 +269,46 @@ def build(spec: ModelSpec, seed: int = 0) -> Model:
     if spec.uncertainty == "homoscedastic":
         # pre-activation 0 puts the shared scale at exactly 1.0 initially
         scale_pre = Tensor(np.zeros((1, 1)), requires_grad=True)
-    mode = {
-        "point": "none",
-        "mc_dropout": "none",
-        "homoscedastic": "homoscedastic",
-        "heteroscedastic": "heteroscedastic",
-    }[spec.uncertainty]
-    scale = ScaleSpec(mode=mode, alpha=DEFAULT_ALPHA, floor=DEFAULT_SCALE_FLOOR)
-    model = Model(spec=spec, forecast_tower=forecast_tower, scale_tower=scale_tower, scale_pre=scale_pre, scale=scale, seed=seed)
+    model = Model(spec, forecast_tower, scale_tower, scale_pre, seed)
     for name, p in model.parameters().items():
         p.name = name  # so training errors name the parameter
     return model
 
 
-def _as_batch(x, input_dim: int) -> tuple[np.ndarray, bool]:
+def _as_batch(x, input_dim: int) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        arr, single = arr[None, :], True
-    else:
-        single = False
     if arr.ndim != 2 or arr.shape[1] != input_dim:
-        raise ShapeError(f"expected inputs of dimension {input_dim}, got shape {arr.shape}")
+        raise ShapeError(f"expected an (N, {input_dim}) batch, got shape {arr.shape}")
     bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
     if bad.size:
         raise ValueError(f"features must be finite, row {bad[0]} is not")
-    return arr, single
+    return arr
 
 
 def predict(model: Model, x):
-    """Deterministic forecast; returns (y_hat, scale or None).
+    """Deterministic forecast of an (N, input_dim) batch; returns (y_hat, scales).
 
-    ``x`` is one (input_dim,) feature vector or an (N, input_dim)
-    matrix; a vector in gives scalars out.
+    Both are (N,) arrays; ``scales`` is None for models without a scale.
+    One sample is a one-row batch.
     """
-    batch, single = _as_batch(x, model.spec.input_dim)
+    batch = _as_batch(x, model.spec.input_dim)
     mu = model.forward_mean(batch).data.ravel()
     scale_t = model.forward_scale(batch)
     if scale_t is None:
-        scales = None
-    else:
-        scales = np.broadcast_to(scale_t.data.ravel(), mu.shape).copy()
-    if single:
-        return float(mu[0]), (None if scales is None else float(scales[0]))
-    return mu, scales
+        return mu, None
+    return mu, np.broadcast_to(scale_t.data.ravel(), mu.shape).copy()
 
 
 def mc_dropout_predict(model: Model, x, n_samples: int, seed: int = 0):
     """Mean and spread of repeated stochastic passes with dropout active.
 
-    With dropout_p = 0 every pass is the plain forward, so the spread is
+    ``x`` is an (N, input_dim) batch; both results are (N,) arrays. With
+    dropout_p = 0 every pass is the plain forward, so the spread is
     exactly zero. Std is the population (divide-by-n) convention.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    batch, single = _as_batch(x, model.spec.input_dim)
+    batch = _as_batch(x, model.spec.input_dim)
     rng = np.random.default_rng(seed)
     samples = np.stack(
         [
@@ -333,11 +316,7 @@ def mc_dropout_predict(model: Model, x, n_samples: int, seed: int = 0):
             for _ in range(n_samples)
         ]
     )
-    mean = samples.mean(axis=0)
-    std = samples.std(axis=0)
-    if single:
-        return float(mean[0]), float(std[0])
-    return mean, std
+    return samples.mean(axis=0), samples.std(axis=0)
 
 
 def baseline_predict(kind: str, values) -> np.ndarray:
@@ -361,9 +340,9 @@ def _batch_loss(model: Model, x: np.ndarray, y: np.ndarray, training: bool, rng)
     dropout_p = model.spec.dropout_p if training else 0.0
     mu = model.forward_mean(x, dropout_p, rng)
     targets = Tensor(y[:, None])
-    if model.scale.mode == "none":
-        return mae_loss(targets, mu)
     scales = model.forward_scale(x)
+    if scales is None:
+        return mae_loss(targets, mu)
     return laplace_nll(targets, mu, scales) / float(len(y))
 
 

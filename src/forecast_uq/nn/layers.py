@@ -1,14 +1,14 @@
 """Dense layers and an LSTM cell built on the autodiff tensors.
 
-A dense layer computes ``activation(weights @ x + bias)``. The LSTM cell
+A dense layer computes ``activation(x @ weights.T + bias)``. The LSTM cell
 follows the classic gate formulation: forget/input/output gates are
 sigmoids of an affine map of the concatenated ``[h_prev, x_t]``, the cell
 state mixes the previous state with a tanh candidate, and the hidden
 state is the output gate times tanh of the cell state. No peepholes, no
 layer normalization.
 
-Both layers accept a single vector or a batch (rows are samples); all
-math is float64.
+Both layers take ``(batch, dim)`` rows only (one sample is a one-row
+batch) and raise ``ShapeError`` on any other shape; all math is float64.
 """
 
 from __future__ import annotations
@@ -73,22 +73,12 @@ class DenseLayer:
     def in_dim(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
-
     def forward(self, x) -> Tensor:
-        """activation(weights @ x + bias) for a vector or a batch of rows."""
+        """activation(x @ weights.T + bias) for (batch, in_dim) rows."""
         x = as_tensor(x)
-        if x.shape[-1] != self.in_dim:
-            raise ShapeError(
-                f"dense layer expects input dim {self.in_dim}, got {x.shape}"
-            )
-        squeeze = x.data.ndim == 1
-        if squeeze:
-            x = x.reshape(1, -1)
-        out = _apply_activation(affine(x, self.weights, self.bias), self.activation)
-        return out.reshape(-1) if squeeze else out
+        if x.shape[1:] != (self.in_dim,):
+            raise ShapeError(f"dense layer expects (batch, {self.in_dim}) rows, got {x.shape}")
+        return _apply_activation(affine(x, self.weights, self.bias), self.activation)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"weights": self.weights, "bias": self.bias}
@@ -136,25 +126,19 @@ class LstmCell:
         return self.w_f.shape[1] - self.w_f.shape[0]
 
     def step(self, h_prev, c_prev, x_t) -> tuple[Tensor, Tensor]:
-        """One recurrence step; returns (h_t, c_t).
+        """One recurrence step over (batch, dim) rows; returns (h_t, c_t).
 
-        Accepts vectors or (batch, dim) rows. h_prev/c_prev must have the
-        cell's hidden width, x_t its input width.
+        h_prev/c_prev must be (batch, hidden_dim) and x_t (batch, input_dim).
         """
         h_prev, c_prev, x_t = as_tensor(h_prev), as_tensor(c_prev), as_tensor(x_t)
-        if h_prev.shape[-1] != self.hidden_dim or c_prev.shape[-1] != self.hidden_dim:
+        hidden = (self.hidden_dim,)
+        if h_prev.shape[1:] != hidden or c_prev.shape[1:] != hidden:
             raise ShapeError(
-                f"state width must be {self.hidden_dim}, got h {h_prev.shape}, "
+                f"state must be (batch, {self.hidden_dim}) rows, got h {h_prev.shape}, "
                 f"c {c_prev.shape}"
             )
-        if x_t.shape[-1] != self.input_dim:
-            raise ShapeError(f"input width must be {self.input_dim}, got {x_t.shape}")
-
-        squeeze = h_prev.data.ndim == 1
-        if squeeze:
-            h_prev = h_prev.reshape(1, -1)
-            c_prev = c_prev.reshape(1, -1)
-            x_t = x_t.reshape(1, -1)
+        if x_t.shape[1:] != (self.input_dim,):
+            raise ShapeError(f"input must be (batch, {self.input_dim}) rows, got {x_t.shape}")
 
         hx = concat([h_prev, x_t], axis=1)
         f_t = affine(hx, self.w_f, self.b_f).sigmoid()
@@ -163,9 +147,6 @@ class LstmCell:
         c_t = f_t * c_prev + i_t * cand
         o_t = affine(hx, self.w_o, self.b_o).sigmoid()
         h_t = o_t * c_t.tanh()
-
-        if squeeze:
-            return h_t.reshape(-1), c_t.reshape(-1)
         return h_t, c_t
 
     def run(self, steps, return_sequence: bool = False):

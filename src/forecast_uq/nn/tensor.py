@@ -7,8 +7,10 @@ and a vector-Jacobian product. ``GradientTape.gradients`` replays the
 records in reverse to accumulate d(loss)/d(parameter).
 
 Outside a tape, operations run as plain numpy (fast inference path).
-The active tape is thread-local: concurrent inference and parallel
-training runs in separate threads do not interfere.
+A thread records onto at most one tape at a time, and opening a second
+tape on it raises ``RuntimeError``. The active tape is thread-local:
+concurrent inference and parallel training runs in separate threads do
+not interfere.
 """
 
 from __future__ import annotations
@@ -20,15 +22,7 @@ import numpy as np
 
 __all__ = ["Tensor", "GradientTape", "affine", "as_tensor", "concat"]
 
-_state = threading.local()
-
-
-def _tape_stack() -> list["GradientTape"]:
-    stack = getattr(_state, "tapes", None)
-    if stack is None:
-        stack = []
-        _state.tapes = stack
-    return stack
+_state = threading.local()  # .tape: this thread's recording tape, if any
 
 
 class Tensor:
@@ -44,10 +38,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         return self.data.item()
@@ -82,12 +72,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return _div(as_tensor(other), self)
 
-    def __neg__(self):
-        return _record_op((self,), -self.data, lambda g: (-g,))
-
-    def __matmul__(self, other):
-        return _matmul(self, as_tensor(other))
-
     # elementwise functions ------------------------------------------------
 
     def relu(self) -> "Tensor":
@@ -109,10 +93,6 @@ class Tensor:
         # d/dx alpha*(e^x - 1) = alpha*e^x = out + alpha on the negative branch
         return _record_op((self,), out, lambda g: (g * np.where(neg, out + alpha, 1.0),))
 
-    def exp(self) -> "Tensor":
-        out = np.exp(self.data)
-        return _record_op((self,), out, lambda g: (g * out,))
-
     def log(self) -> "Tensor":
         x = self.data
         return _record_op((self,), np.log(x), lambda g: (g / x,))
@@ -127,7 +107,7 @@ class Tensor:
         x = self.data
         return _record_op((self,), np.maximum(x, floor), lambda g: (g * (x > floor),))
 
-    # reductions / shape ----------------------------------------------------
+    # reductions -------------------------------------------------------------
 
     def sum(self) -> "Tensor":
         shape = self.data.shape
@@ -137,10 +117,6 @@ class Tensor:
         shape = self.data.shape
         n = self.data.size
         return _record_op((self,), self.data.mean(), lambda g: (np.full(shape, g / n),))
-
-    def reshape(self, *shape) -> "Tensor":
-        old = self.data.shape
-        return _record_op((self,), self.data.reshape(*shape), lambda g: (g.reshape(old),))
 
 
 def as_tensor(value) -> Tensor:
@@ -169,10 +145,9 @@ def _record_op(
     vjp: Callable[[np.ndarray], tuple],
 ) -> Tensor:
     out = Tensor(out_data)
-    # every open tape records independently, so nesting works
-    for tape in _tape_stack():
-        if any(tape._tracks(t) for t in inputs):
-            tape._record(inputs, out, vjp)
+    tape = getattr(_state, "tape", None)
+    if tape is not None and any(tape._tracks(t) for t in inputs):
+        tape._record(inputs, out, vjp)
     return out
 
 
@@ -213,13 +188,6 @@ def _div(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def _matmul(a: Tensor, b: Tensor) -> Tensor:
-    da, db = a.data, b.data
-    if da.ndim != 2 or db.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {da.shape} @ {db.shape}")
-    return _record_op((a, b), da @ db, lambda g: (g @ db.T, da.T @ g))
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w.T + b`` for rows ``x`` (n, in), weights (out, in), bias (out,), as one op."""
     dx, dw = x.data, w.data
@@ -257,11 +225,13 @@ class GradientTape:
         self._tracked: set[int] = set()
 
     def __enter__(self) -> "GradientTape":
-        _tape_stack().append(self)
+        if getattr(_state, "tape", None) is not None:
+            raise RuntimeError("a gradient tape is already recording on this thread")
+        _state.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _tape_stack().pop()
+        _state.tape = None
 
     def _tracks(self, t: Tensor) -> bool:
         return t.requires_grad or id(t) in self._tracked

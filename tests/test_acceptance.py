@@ -202,7 +202,7 @@ def test_criterion_3_homoscedastic_recovery():
     dataset = make_dataset(generate_synthetic(config))
     model = build(ModelSpec.default("dense", "homoscedastic", 26, desk=True), seed=0)
     model, _ = train(model, dataset, TrainConfig())
-    _, shared_scale = predict(model, dataset.x[0])
+    _, (shared_scale,) = predict(model, dataset.x[:1])
     elapsed = time.monotonic() - start
     assert 4.5 <= shared_scale <= 5.5, f"learned shared scale {shared_scale:.3f}"
     assert elapsed < 300.0, f"recovery took {elapsed:.1f}s"

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from forecast_uq import cli
 from forecast_uq.cli import OUT_ENV_VAR, main
 from forecast_uq.data import read_series_csv
+from forecast_uq.documents import load_json
 
 GENERATOR = {
     "families": {"trend": 30, "noise": 30},
@@ -294,6 +296,51 @@ class TestBooleansAreNotNumbers:
         assert main(argv) == 1
         assert capsys.readouterr().err == (f'error: {path}.parameters."forecast_tower.layer0.weights": '
                        "data must be a flat list of finite numbers\n")
+
+
+@pytest.mark.parametrize("command, config, seeds, message", [
+    ("train", "run_config", "-1", "seeds must be non-negative, got -1"),
+    ("train", "run_config", "0,0", "seeds must not repeat"),
+    ("generate", "gen_config", "-1", "seed must be non-negative, got -1"),
+])
+def test_bad_seed_flag_gives_one_error_line(command, config, seeds, message, workspace,
+                                            tmp_path, capsys):
+    code = main([command, "--config", str(workspace[config]), "--data", str(workspace["data"]),
+                 "--out", str(tmp_path / "out"), "--seeds", seeds])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_jobs_below_one_rejected(value, workspace, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--data", str(workspace["data"]), "--out", str(tmp_path), "--jobs", value])
+    assert info.value.code == 2
+    assert f"argument --jobs: must be at least 1, got {value}" in capsys.readouterr().err
+
+
+def test_pool_never_exceeds_the_job_count(workspace, tmp_path, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    run = load_json(workspace["run_config"], cli.RunConfig)
+    stems = cli.cmd_train(run, workspace["data"], tmp_path, jobs=64)
+    assert sizes == [len(stems)] == [4]
+    for name in ("dense_point_seed0.ckpt.json", "dense_heteroscedastic_seed1.ckpt.json"):
+        assert (tmp_path / name).read_bytes() == (workspace["ckpts"] / name).read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

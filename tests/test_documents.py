@@ -144,6 +144,18 @@ PROBES = [
      "generator.json.noise: expected an object, got []"),
     ("generator", '{"families": {"trend": 3}, "seed": 1.5}',
      "generator.json.seed: expected an integer, got 1.5"),
+    ("run", '{"train": {"beta1": 1.0}}', "run.json.train: beta1 must be in [0, 1)"),
+    ("run", '{"train": {"beta1": -0.5}}', "run.json.train: beta1 must be in [0, 1)"),
+    ("run", '{"train": {"beta2": 1.0}}', "run.json.train: beta2 must be in [0, 1)"),
+    ("run", '{"train": {"beta2": 1.5}}', "run.json.train: beta2 must be in [0, 1)"),
+    ("run", '{"train": {"eps": 0.0}}', "run.json.train: eps must be positive"),
+    ("run", '{"train": {"eps": -1.0}}', "run.json.train: eps must be positive"),
+    ("run", '{"seeds": [-1]}', "run.json: seeds must be non-negative, got -1"),
+    ("run", '{"seeds": [0, 0]}', "run.json: seeds must not repeat"),
+    ("run", '{"models": [{"backbone": "lstm", "uncertainty": "point"}, '
+            '{"backbone": "lstm", "uncertainty": "point"}]}', "run.json: models must not repeat"),
+    ("generator", '{"families": {"trend": 3}, "seed": -1}',
+     "generator.json: seed must be non-negative, got -1"),
 ]
 
 # Each document's valid base, and the JSON kinds each path accepts. Paths
@@ -318,6 +330,16 @@ def test_valid_bases_run(cli_files):
 @example(case=("generator", "set", "noise", []))
 @example(case=("generator", "set", "seed", 1.5))
 @example(case=("generator", "set", "noise/scale", True))
+@example(case=("run", "set", "train/beta1", 1.0))
+@example(case=("run", "set", "train/beta1", -0.5))
+@example(case=("run", "set", "train/beta2", 1.0))
+@example(case=("run", "set", "train/beta2", 1.5))
+@example(case=("run", "set", "train/eps", 0.0))
+@example(case=("run", "set", "train/eps", -1.0))
+@example(case=("run", "set", "seeds", [-1]))
+@example(case=("run", "set", "seeds", [0, 0]))
+@example(case=("run", "set", "models", [{"backbone": "dense", "uncertainty": "point"}] * 2))
+@example(case=("generator", "set", "seed", -1))
 @example(case=("checkpoint", "delete", "architecture/layer_sizes"))
 @example(case=("checkpoint", "set", "architecture/dropout_p", "0.5"))
 def test_malformed_file_gives_one_error_line(cli_files, case):

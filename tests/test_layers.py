@@ -20,29 +20,31 @@ def make_dense(weights, bias, activation) -> DenseLayer:
 class TestDenseLayer:
     def test_identity_passthrough(self):
         layer = make_dense(np.eye(2), np.zeros(2), "identity")
-        np.testing.assert_allclose(layer.forward([3.0, -2.0]).data, [3.0, -2.0])
+        np.testing.assert_allclose(layer.forward([[3.0, -2.0]]).data[0], [3.0, -2.0])
 
     def test_relu_clamps_negatives(self):
         layer = make_dense(np.eye(2), np.zeros(2), "relu")
-        np.testing.assert_allclose(layer.forward([3.0, -2.0]).data, [3.0, 0.0])
+        np.testing.assert_allclose(layer.forward([[3.0, -2.0]]).data[0], [3.0, 0.0])
 
     def test_sigmoid_with_bias(self):
         layer = make_dense([[1.0, 1.0]], [0.5], "sigmoid")
-        out = layer.forward([0.0, 0.0]).data
+        out = layer.forward([[0.0, 0.0]]).data[0]
         np.testing.assert_allclose(out, [0.6224593312018546], atol=1e-15)
 
     def test_dimension_mismatch_raises(self):
         layer = make_dense(np.eye(2), np.zeros(2), "identity")
         with pytest.raises(ShapeError):
             layer.forward(Tensor(np.ones((1, 3))))
+        with pytest.raises(ShapeError):
+            layer.forward([3.0, -2.0])
 
     def test_batch_forward_matches_per_row(self):
         rng = np.random.default_rng(0)
         layer = DenseLayer.create(4, 3, "tanh", rng)
         batch = rng.normal(size=(5, 4))
         together = layer.forward(Tensor(batch)).data
-        for i, row in enumerate(batch):
-            np.testing.assert_allclose(layer.forward(row).data, together[i])
+        for i in range(len(batch)):
+            np.testing.assert_allclose(layer.forward(batch[i : i + 1]).data[0], together[i])
 
     def test_glorot_init_bounds_and_zero_bias(self):
         rng = np.random.default_rng(1)
@@ -124,6 +126,8 @@ class TestLstmCell:
             cell.step(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 5))))
         with pytest.raises(ShapeError):
             cell.step(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 2))))
+        with pytest.raises(ShapeError):
+            cell.step(np.zeros(3), np.zeros(3), np.zeros(2))
 
     def test_bptt_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)

@@ -7,7 +7,6 @@ import pytest
 from scipy.integrate import quad
 
 from forecast_uq.losses import (
-    ScaleSpec,
     elu_plus_one,
     laplace_likelihood,
     laplace_nll,
@@ -192,19 +191,3 @@ class TestMaeLoss:
         y, p = rng.normal(size=12), rng.normal(size=12)
         out = mae_loss(Tensor(y), Tensor(p))
         np.testing.assert_allclose(float(out.data), mae_loss(y, p), rtol=1e-15)
-
-
-class TestScaleSpec:
-    def test_valid_modes(self):
-        for mode in ("none", "homoscedastic", "heteroscedastic"):
-            ScaleSpec(mode=mode)
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ScaleSpec(mode="gaussian")
-
-    def test_invalid_alpha_and_floor_rejected(self):
-        with pytest.raises(ValueError):
-            ScaleSpec(alpha=0.0)
-        with pytest.raises(ValueError):
-            ScaleSpec(floor=-1.0)

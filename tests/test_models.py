@@ -22,7 +22,7 @@ from forecast_uq.models import (
     train,
 )
 from forecast_uq.nn import GradientTape, Tensor
-from forecast_uq.losses import laplace_nll
+from forecast_uq.losses import DEFAULT_SCALE_FLOOR, laplace_nll
 
 
 def tiny_dataset(n=400, scale=1.0, seed=0, families=None):
@@ -123,18 +123,20 @@ class TestPredict:
         model = build(ModelSpec.default("dense", "heteroscedastic", 14, desk=True), seed=0)
         rng = np.random.default_rng(0)
         _, scales = predict(model, rng.normal(size=(50, 14)) * 100.0)
-        assert np.all(scales >= model.scale.floor)
+        assert np.all(scales >= DEFAULT_SCALE_FLOOR)
 
     def test_point_model_has_no_scale(self):
         model = build(ModelSpec.default("dense", "point", 14, desk=True), seed=0)
         y_hat, scale = predict(model, np.zeros((3, 14)))
         assert scale is None and y_hat.shape == (3,)
 
-    def test_single_feature_vector_gives_scalars(self):
+    def test_single_feature_vector_rejected(self):
         ds = tiny_dataset(10)
         model = build(ModelSpec.default("dense", "heteroscedastic", 14, desk=True), seed=0)
-        y_hat, scale = predict(model, ds.x[0])
-        assert isinstance(y_hat, float) and isinstance(scale, float)
+        with pytest.raises(ShapeError, match=r"expected an \(N, 14\) batch, got shape \(14,\)"):
+            predict(model, ds.x[0])
+        with pytest.raises(ShapeError):
+            mc_dropout_predict(model, ds.x[0], n_samples=2)
 
     def test_repeated_predict_bit_identical(self):
         model = build(ModelSpec.default("lstm", "point", 14, desk=True), seed=0)
@@ -196,8 +198,8 @@ class TestMcDropout:
 
     def test_non_finite_features_rejected(self):
         model = build(ModelSpec.default("lstm", "mc_dropout", 14, desk=True), seed=0)
-        x = np.zeros(14)
-        x[0] = -np.inf
+        x = np.zeros((1, 14))
+        x[0, 0] = -np.inf
         with pytest.raises(ValueError, match="row 0"):
             mc_dropout_predict(model, x, n_samples=2)
 
@@ -248,7 +250,7 @@ class TestTrain:
         ds = make_dataset(RawSeries(values=values, target=np.full(80, 13.0)))
         model = build(ModelSpec.default("dense", "point", 14, desk=True), seed=0)
         model, history = train(model, ds, TrainConfig(max_epochs=200, patience=200, batch_size=32, seed=0))
-        y_hat, _ = predict(model, ds.x[0])
+        (y_hat,), _ = predict(model, ds.x[:1])
         assert abs(y_hat - 13.0) < 0.5
         first, last = history["train_loss"][0], history["train_loss"][-1]
         assert last < first

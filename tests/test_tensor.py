@@ -41,17 +41,14 @@ class TestElementwiseOps:
             lambda t: (t + 2.0 * t).sum(),
             lambda t: (t - 0.5).sum(),
             lambda t: (t / 3.0).sum(),
-            lambda t: (-t).sum(),
             lambda t: (2.0 / (t * t + 1.0)).sum(),
             lambda t: t.relu().sum(),
             lambda t: t.sigmoid().sum(),
             lambda t: t.tanh().sum(),
             lambda t: t.elu(1.0).sum(),
             lambda t: t.elu(0.7).sum(),
-            lambda t: t.exp().sum(),
             lambda t: t.abs().sum(),
             lambda t: t.mean(),
-            lambda t: t.reshape(6, 2).sum(),
             lambda t: t.clip_min(0.1).sum(),
         ],
     )
@@ -75,7 +72,6 @@ class TestElementwiseOps:
         np.testing.assert_allclose(t.relu().data, np.maximum(x, 0))
         np.testing.assert_allclose(t.tanh().data, np.tanh(x))
         np.testing.assert_allclose(t.sigmoid().data, 1.0 / (1.0 + np.exp(-x)))
-        np.testing.assert_allclose(t.exp().data, np.exp(x))
         np.testing.assert_allclose(t.abs().data, np.abs(x))
         np.testing.assert_allclose(abs(t).data, np.abs(x))
 
@@ -107,16 +103,6 @@ class TestBroadcasting:
 
 
 class TestMatmulAndShapes:
-    def test_matmul_gradients(self):
-        rng = np.random.default_rng(5)
-        a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        check_gradient(lambda: (a @ b).sum(), [a, b])
-
-    def test_matmul_requires_2d(self):
-        with pytest.raises(ValueError):
-            Tensor(np.ones(3)) @ Tensor(np.ones((3, 2)))
-
     def test_affine_gradient(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
@@ -191,16 +177,17 @@ class TestTape:
             loss = (p * 2.0).sum()
         np.testing.assert_allclose(tape.gradients(loss, [p])[p], np.full(2, 2.0))
 
-    def test_nested_tapes_record_independently(self):
+    def test_nested_tape_raises(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         with GradientTape() as outer:
-            a = p * 2.0
-            with GradientTape() as inner:
-                b = p * 3.0
-                b_sum = b.sum()
-            loss = (a + b).sum()
-        np.testing.assert_allclose(inner.gradients(b_sum, [p])[p], [3.0])
-        np.testing.assert_allclose(outer.gradients(loss, [p])[p], [5.0])
+            loss = (p * 2.0).sum()
+            with pytest.raises(RuntimeError, match="already recording"):
+                with GradientTape():
+                    pass
+        np.testing.assert_allclose(outer.gradients(loss, [p])[p], [2.0])
+        with GradientTape() as after:  # the failed open left no tape behind
+            loss = (p * 3.0).sum()
+        np.testing.assert_allclose(after.gradients(loss, [p])[p], [3.0])
 
     def test_tapes_are_thread_local(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
@@ -233,6 +220,7 @@ class TestTape:
     def test_repeated_forward_is_bit_identical(self):
         rng = np.random.default_rng(8)
         t = Tensor(rng.normal(size=(6, 6)))
-        first = (t.sigmoid() @ t.tanh()).data
-        second = (t.sigmoid() @ t.tanh()).data
+        bias = Tensor(np.zeros(6))
+        first = affine(t.sigmoid(), t.tanh(), bias).data
+        second = affine(t.sigmoid(), t.tanh(), bias).data
         assert np.array_equal(first, second)
