@@ -4,8 +4,9 @@ The sha256 of every artifact is pinned, so a refactor of the data,
 selective or cluster code that changes a single byte of the dataset,
 the checkpoints, the comparison matrix, the curves, the scatter table
 or the cluster outputs fails here. A second run on the same dataset
-trains two LSTM models, so the tape, the layers and the optimizer are
-pinned for both backbones. The digests depend on float64
+trains and evaluates two LSTM models, so the tape, the layers, the
+optimizer and both towers' MC-dropout and scale outputs are pinned for
+both backbones. The digests depend on float64
 arithmetic being reproducible on the platform; regenerate them only for
 a change that is meant to alter the outputs, and say so.
 """
@@ -123,6 +124,7 @@ LSTM_RUN = {
     "train": {"max_epochs": 2, "patience": 2, "batch_size": 32},
     "seeds": [0],
     "desk": True,
+    "mc_samples": 5,
 }
 
 LSTM_GOLDEN = {
@@ -134,6 +136,24 @@ LSTM_GOLDEN = {
         "65c43889a347589d5dc87533d34a3134fab055891fbcf19d2ba48a2c5726ff52",
     "lstm_ckpt/lstm_mc_dropout_seed0.history.json":
         "0ad0749d55725eb6305db112245e53a500958d33804c28fbe84e3bfef62cfcbf",
+    "lstm_eval/curve_baseline_last+input_variance.csv":
+        "d9666d4b9f1df7e930930c39c5fe84a5222560e01d94154bd420b7d716b9854a",
+    "lstm_eval/curve_baseline_mean+input_variance.csv":
+        "bed9a3afa87011cbcddd0d4b3b4403d936144b6ea22dce5870931b3a356118b5",
+    "lstm_eval/curve_baseline_zero+input_variance.csv":
+        "e4c9062afbd9e5815418f47c2a74d8fb84876f3bd410304cda18e8165f20e481",
+    "lstm_eval/curve_lstm_heteroscedastic+input_variance_seed0.csv":
+        "4f250eb2b6ce421c44f5ca30a5a645e9525e2dcb8bf7f5ac8be481f7ee89900f",
+    "lstm_eval/curve_lstm_heteroscedastic+predicted_scale_seed0.csv":
+        "9e29ab13baa8f23c011e7c000ce62024946cfca13232301e7bea4ee6a0b33228",
+    "lstm_eval/curve_lstm_mc_dropout+input_variance_seed0.csv":
+        "61d5f90e6837b4dd6668b3761a4ba979a75e99b82360ef01985b6c43245e3c31",
+    "lstm_eval/curve_lstm_mc_dropout+mc_std_seed0.csv":
+        "d497d9e0a780638f05f07063c5e86cfd48d8bc61d002a13c2908dd22fae8e978",
+    "lstm_eval/matrix.json":
+        "63ffbdd6a89c0141236edd94339721ebff455ecd4a03687f4b987ba0f8d99e56",
+    "lstm_eval/scatter.csv":
+        "37759980d9a1d9f0ebb0b0cf52f807156a04a436c4b426de01cc48e86f0d86b2",
 }
 
 
@@ -173,10 +193,16 @@ def digests(generated):
 def lstm_digests(generated):
     root, data = generated
     (root / "lstm_run.json").write_text(json.dumps(LSTM_RUN))
-    out = root / "lstm_ckpt"
-    argv = ["train", "--config", str(root / "lstm_run.json"), "--data", str(data), "--out", str(out)]
-    assert main(argv) == 0
-    return {str(p.relative_to(root)): sha256(p) for p in sorted(out.iterdir())}
+    run = str(root / "lstm_run.json")
+    stages = (
+        ["train", "--config", run, "--data", str(data), "--out", str(root / "lstm_ckpt")],
+        ["evaluate", "--config", run, "--data", str(data),
+         "--checkpoints", str(root / "lstm_ckpt"), "--out", str(root / "lstm_eval")],
+    )
+    for argv in stages:
+        assert main(argv) == 0, argv[0]
+    files = sorted(p for sub in ("lstm_ckpt", "lstm_eval") for p in (root / sub).iterdir())
+    return {str(p.relative_to(root)): sha256(p) for p in files}
 
 
 def test_artifact_set_is_pinned(digests):
