@@ -115,6 +115,8 @@ class RunConfig:
         for name, items in (("seeds", self.seeds), ("models", self.models)):
             if len(set(items)) < len(items):
                 raise ConfigError(f"{name} must not repeat")
+        if self.train.seed != 0:
+            raise ConfigError("train.seed is set per job by seeds; remove it")
         for backbone, uncertainty in self.models:
             if backbone not in BACKBONES or uncertainty not in UNCERTAINTIES:
                 raise ConfigError(f"unknown model ({backbone!r}, {uncertainty!r})")

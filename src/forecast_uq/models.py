@@ -138,6 +138,8 @@ class TrainConfig:
             raise ConfigError("validation_fraction must be in (0, 1)")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.learning_rate <= 0.0:
             raise ConfigError("learning_rate must be positive")
         for name in ("beta1", "beta2"):
@@ -147,9 +149,11 @@ class TrainConfig:
             raise ConfigError("eps must be positive")
 
 
-def _dropout_mask(rng: np.random.Generator, shape, p: float) -> np.ndarray:
+def _dropout(h: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    if p <= 0.0:
+        return h
     # inverted dropout: scale the survivors so the expectation is unchanged
-    return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
+    return h * Tensor((rng.random(h.shape) >= p).astype(np.float64) / (1.0 - p))
 
 
 class _DenseTower:
@@ -164,11 +168,18 @@ class _DenseTower:
         self.out = DenseLayer.create(prev, 1, "identity", rng)
 
     def forward(self, x: np.ndarray, dropout_p: float = 0.0, rng=None) -> Tensor:
-        h = Tensor(x)
-        for layer in self.hidden:
-            h = layer.forward(h)
-            if dropout_p > 0.0:
-                h = h * Tensor(_dropout_mask(rng, h.shape, dropout_p))
+        return self.tail(self.trunk(x), x, dropout_p, rng)
+
+    def trunk(self, x: np.ndarray) -> Tensor:
+        """The first hidden layer: everything before the first dropout mask."""
+        # no dropout here, so the MC-dropout passes can share one trunk
+        return self.hidden[0].forward(Tensor(x))
+
+    def tail(self, z: Tensor, x: np.ndarray, dropout_p: float = 0.0, rng=None) -> Tensor:
+        """The rest of ``forward`` from trunk output ``z``: a mask after each hidden layer."""
+        h = _dropout(z, dropout_p, rng)
+        for layer in self.hidden[1:]:
+            h = _dropout(layer.forward(h), dropout_p, rng)
         return self.out.forward(h)
 
     def parameters(self) -> dict[str, Tensor]:
@@ -200,17 +211,22 @@ class _LstmTower:
         self.out = DenseLayer.create(head_size, 1, "identity", rng)
 
     def forward(self, x: np.ndarray, dropout_p: float = 0.0, rng=None) -> Tensor:
-        n_steps = self.input_dim - 2
-        steps = [Tensor(x[:, i : i + 1]) for i in range(n_steps)]
+        return self.tail(self.trunk(x), x, dropout_p, rng)
+
+    def trunk(self, x: np.ndarray) -> Tensor:
+        """The cell stack's final hidden state: everything before the first dropout mask."""
+        # The recurrence holds no dropout, so MC-dropout passes share one run of
+        # it; dropout inside the recurrence would move this split point.
+        steps = [Tensor(x[:, i : i + 1]) for i in range(self.input_dim - 2)]
         for cell in self.cells[:-1]:
             steps = cell.run(steps, return_sequence=True)
-        h = self.cells[-1].run(steps)
-        if dropout_p > 0.0:
-            h = h * Tensor(_dropout_mask(rng, h.shape, dropout_p))
-        a = self.head.forward(concat([h, Tensor(x[:, n_steps:])], axis=1))
-        if dropout_p > 0.0:
-            a = a * Tensor(_dropout_mask(rng, a.shape, dropout_p))
-        return self.out.forward(a)
+        return self.cells[-1].run(steps)
+
+    def tail(self, z: Tensor, x: np.ndarray, dropout_p: float = 0.0, rng=None) -> Tensor:
+        """The rest of ``forward`` from trunk output ``z``: masks before and after the head."""
+        h = _dropout(z, dropout_p, rng)
+        a = self.head.forward(concat([h, Tensor(x[:, self.input_dim - 2 :])], axis=1))
+        return self.out.forward(_dropout(a, dropout_p, rng))
 
     def parameters(self) -> dict[str, Tensor]:
         named = {}
@@ -304,15 +320,19 @@ def mc_dropout_predict(model: Model, x, n_samples: int, seed: int = 0):
 
     ``x`` is an (N, input_dim) batch; both results are (N,) arrays. With
     dropout_p = 0 every pass is the plain forward, so the spread is
-    exactly zero. Std is the population (divide-by-n) convention.
+    exactly zero. Std is the population (divide-by-n) convention. The
+    tower's dropout-free trunk runs once and every pass reuses it, which
+    gives the same bits as ``n_samples`` full ``forward_mean`` passes.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     batch = _as_batch(x, model.spec.input_dim)
     rng = np.random.default_rng(seed)
+    tower = model.forecast_tower
+    z = tower.trunk(batch)
     samples = np.stack(
         [
-            model.forward_mean(batch, model.spec.dropout_p, rng).data.ravel()
+            tower.tail(z, batch, model.spec.dropout_p, rng).data.ravel()
             for _ in range(n_samples)
         ]
     )

@@ -312,6 +312,20 @@ def test_bad_seed_flag_gives_one_error_line(command, config, seeds, message, wor
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("seed, message", [
+    (5, ": train.seed is set per job by seeds; remove it"),
+    (-1, ".train: seed must be non-negative"),
+])
+def test_train_seed_in_run_config_rejected(seed, message, workspace, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**RUN, "train": {**RUN["train"], "seed": seed}}))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--data", str(workspace["data"]),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {config}{message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_jobs_below_one_rejected(value, workspace, tmp_path, capsys):
     with pytest.raises(SystemExit) as info:

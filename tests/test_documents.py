@@ -156,6 +156,8 @@ PROBES = [
             '{"backbone": "lstm", "uncertainty": "point"}]}', "run.json: models must not repeat"),
     ("generator", '{"families": {"trend": 3}, "seed": -1}',
      "generator.json: seed must be non-negative, got -1"),
+    ("run", '{"train": {"seed": 5}}', "run.json: train.seed is set per job by seeds; remove it"),
+    ("run", '{"train": {"seed": -1}}', "run.json.train: seed must be non-negative"),
 ]
 
 # Each document's valid base, and the JSON kinds each path accepts. Paths
@@ -340,6 +342,8 @@ def test_valid_bases_run(cli_files):
 @example(case=("run", "set", "seeds", [0, 0]))
 @example(case=("run", "set", "models", [{"backbone": "dense", "uncertainty": "point"}] * 2))
 @example(case=("generator", "set", "seed", -1))
+@example(case=("run", "set", "train/seed", 5))
+@example(case=("run", "set", "train/seed", -1))
 @example(case=("checkpoint", "delete", "architecture/layer_sizes"))
 @example(case=("checkpoint", "set", "architecture/dropout_p", "0.5"))
 def test_malformed_file_gives_one_error_line(cli_files, case):

@@ -9,6 +9,7 @@ import pytest
 from forecast_uq.data import GeneratorConfig, RawSeries, generate_synthetic, make_dataset
 from forecast_uq.exceptions import ConfigError, ShapeError, TrainingError
 from forecast_uq.models import (
+    BACKBONES,
     Model,
     ModelSpec,
     TrainConfig,
@@ -21,7 +22,7 @@ from forecast_uq.models import (
     save_checkpoint,
     train,
 )
-from forecast_uq.nn import GradientTape, Tensor
+from forecast_uq.nn import DenseLayer, GradientTape, LstmCell, Tensor
 from forecast_uq.losses import DEFAULT_SCALE_FLOOR, laplace_nll
 
 
@@ -191,6 +192,48 @@ class TestMcDropout:
         np.testing.assert_allclose(std, w, rtol=0.05)
         np.testing.assert_allclose(mean, w, rtol=0.1)
 
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    def test_equals_full_forward_passes(self, backbone):
+        model = build(ModelSpec.default(backbone, "mc_dropout", 14, desk=True), seed=0)
+        x = np.random.default_rng(4).normal(size=(9, 14))
+        rng = np.random.default_rng(5)
+        samples = np.stack(
+            [model.forward_mean(x, model.spec.dropout_p, rng).data.ravel() for _ in range(6)]
+        )
+        mean, std = mc_dropout_predict(model, x, n_samples=6, seed=5)
+        assert np.array_equal(mean, samples.mean(axis=0))
+        assert np.array_equal(std, samples.std(axis=0))
+
+    @pytest.mark.parametrize("n_samples", [2, 20])
+    def test_lstm_recurrence_runs_once_per_call(self, monkeypatch, n_samples):
+        model = build(ModelSpec.default("lstm", "mc_dropout", 14, desk=True), seed=0)
+        calls = []
+        step = LstmCell.step
+
+        def counted(cell, *args):
+            calls.append(cell)
+            return step(cell, *args)
+
+        monkeypatch.setattr(LstmCell, "step", counted)
+        mc_dropout_predict(model, np.zeros((3, 14)), n_samples=n_samples)
+        assert len(calls) == len(model.forecast_tower.cells) * 12
+
+    @pytest.mark.parametrize("n_samples", [2, 20])
+    def test_dense_first_layer_runs_once_per_call(self, monkeypatch, n_samples):
+        model = build(ModelSpec.default("dense", "mc_dropout", 14, desk=True), seed=0)
+        calls = []
+        forward = DenseLayer.forward
+
+        def counted(layer, x):
+            calls.append(layer)
+            return forward(layer, x)
+
+        monkeypatch.setattr(DenseLayer, "forward", counted)
+        mc_dropout_predict(model, np.zeros((3, 14)), n_samples=n_samples)
+        tower = model.forecast_tower
+        assert sum(layer is tower.hidden[0] for layer in calls) == 1
+        assert len(calls) == 1 + n_samples * len(tower.hidden)
+
     def test_too_few_samples_rejected(self):
         model = build(ModelSpec.default("dense", "mc_dropout", 14, desk=True), seed=0)
         with pytest.raises(ValueError):
@@ -339,6 +382,10 @@ class TestTrain:
         model = build(ModelSpec.default("dense", "point", 14, desk=True), seed=0)
         with pytest.raises(ValueError):
             train(model, Dataset(np.zeros((0, 14)), np.zeros(0), np.zeros((0, 12))), TrainConfig(max_epochs=1))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            TrainConfig(seed=-1)
 
     def test_lstm_trains_and_improves(self):
         ds = tiny_dataset(200, scale=0.5)
