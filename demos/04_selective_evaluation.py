@@ -78,9 +78,8 @@ with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "curve.csv")
     write_curve_csv(error_keep_curve(learned, n_points=30), path)
     curve = read_curve_csv(path)
-    last = curve.points[-1]
-    print(f"curve has {len(curve.points)} points; keep {last.keep_fraction:.0%} "
-          f"-> mae {last.mae:.3f}")
+    print(f"curve has {len(curve.threshold)} points; keep {curve.keep_fraction[-1]:.0%} "
+          f"-> mae {curve.mae[-1]:.3f}")
 
 # ----------------------------------------------------------------------------
 # 5. Baselines under the same lens. None of them know the month ahead, and

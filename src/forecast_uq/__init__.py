@@ -48,7 +48,6 @@ from .models import (
 )
 from .selective import (
     KEEP_GRID,
-    CurvePoint,
     ErrorKeepCurve,
     PredictionRecords,
     error_keep_curve,
@@ -70,7 +69,6 @@ __all__ = [
     "BASELINES",
     "ClusterResult",
     "ConfigError",
-    "CurvePoint",
     "DEFAULT_ALPHA",
     "DEFAULT_SCALE_FLOOR",
     "DEFAULT_STD_THRESHOLD",

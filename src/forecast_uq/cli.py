@@ -221,63 +221,54 @@ def _model_scores(model, x, y, var_scores, run: RunConfig):
     yield "input_variance", make_records(y, y_hat, var_scores)
 
 
+def _matrix_row(by_seed: dict[int, PredictionRecords]) -> dict[float, dict]:
+    """A row's cells: mean, std and per-seed MAE at each keep fraction, from one (seeds x grid) array."""
+    seeds = sorted(by_seed)
+    maes = np.array([list(keep_grid_readout(by_seed[seed]).values()) for seed in seeds])
+    return {
+        k: {
+            "mean": float(column.mean()),
+            "std": float(column.std()),
+            "per_seed": {str(seed): float(mae) for seed, mae in zip(seeds, column)},
+        }
+        for k, column in zip(KEEP_GRID, maes.T)
+    }
+
+
 def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filter=None) -> dict:
     dataset = make_dataset(read_series_csv(data_path), run.std_threshold)
     x, y = dataset.x, dataset.y
     var_scores = input_variance_score(dataset.values)
     os.makedirs(out_dir, exist_ok=True)
 
-    rows: dict[str, dict[float, dict]] = {}
-    het_records: dict[str, dict[int, PredictionRecords]] = {}
-
+    # row name -> {seed: records}; each baseline is a one-seed row at seed 0
+    row_records: dict[str, dict[int, PredictionRecords]] = {}
     groups = _load_checkpoints(checkpoints_dir, seeds_filter)
     for (backbone, uncertainty), by_seed in sorted(groups.items()):
-        per_score: dict[str, dict[int, PredictionRecords]] = {}
         for seed in sorted(by_seed):
-            model = by_seed[seed]
-            for score_name, records in _model_scores(model, x, y, var_scores, run):
-                per_score.setdefault(score_name, {})[seed] = records
-        for score_name, by_seed_records in per_score.items():
-            row_name = f"{backbone}_{uncertainty}+{score_name}"
-            row: dict[float, dict] = {}
-            readouts = {
-                seed: keep_grid_readout(records) for seed, records in by_seed_records.items()
-            }
-            for k in KEEP_GRID:
-                values = np.array([readouts[seed][k] for seed in sorted(readouts)])
-                row[k] = {
-                    "mean": float(values.mean()),
-                    "std": float(values.std()),
-                    "per_seed": {str(seed): readouts[seed][k] for seed in sorted(readouts)},
-                }
-            rows[row_name] = row
-            for seed, records in by_seed_records.items():
-                curve = error_keep_curve(records, run.curve_points)
-                write_curve_csv(curve, os.path.join(out_dir, f"curve_{row_name}_seed{seed}.csv"))
-            if score_name == "predicted_scale":
-                het_records[row_name] = by_seed_records
-
+            for score_name, records in _model_scores(by_seed[seed], x, y, var_scores, run):
+                row_records.setdefault(f"{backbone}_{uncertainty}+{score_name}", {})[seed] = records
     for kind in BASELINES:
         records = make_records(y, baseline_predict(kind, dataset.values), var_scores)
-        row_name = f"baseline_{kind}+input_variance"
-        readout = keep_grid_readout(records)
-        rows[row_name] = {
-            k: {"mean": readout[k], "std": 0.0, "per_seed": {"0": readout[k]}}
-            for k in KEEP_GRID
-        }
-        curve = error_keep_curve(records, run.curve_points)
-        write_curve_csv(curve, os.path.join(out_dir, f"curve_{row_name}.csv"))
+        row_records[f"baseline_{kind}+input_variance"] = {0: records}
+
+    rows = {}
+    for row_name, by_seed in row_records.items():
+        rows[row_name] = _matrix_row(by_seed)
+        for seed, records in by_seed.items():
+            suffix = "" if row_name.startswith("baseline_") else f"_seed{seed}"
+            curve = error_keep_curve(records, run.curve_points)
+            write_curve_csv(curve, os.path.join(out_dir, f"curve_{row_name}{suffix}.csv"))
 
     matrix_path = os.path.join(out_dir, "matrix.json")
     write_matrix_json(rows, KEEP_GRID, matrix_path)
     print(f"wrote {matrix_path} with {len(rows)} rows")
 
-    if het_records:
-        best_row = min(het_records, key=lambda name: rows[name][1.0]["mean"])
-        by_seed_records = het_records[best_row]
-        best_seed = sorted(by_seed_records)[0]
-        records = by_seed_records[best_seed]
-        rho, scatter = error_score_correlation(records)
+    het_rows = [name for name in rows if name.endswith("+predicted_scale")]
+    if het_rows:
+        best_row = min(het_rows, key=lambda name: rows[name][1.0]["mean"])
+        best_seed = min(row_records[best_row])
+        rho, scatter = error_score_correlation(row_records[best_row][best_seed])
         if len(scatter) > run.scatter_rows:
             rng = np.random.default_rng(best_seed)
             pick = np.sort(rng.choice(len(scatter), size=run.scatter_rows, replace=False))

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .documents import load_csv
 from .exceptions import ConfigError
 
 __all__ = [
@@ -304,30 +305,23 @@ def write_series_csv(series: RawSeries, path) -> None:
 def read_series_csv(path) -> RawSeries:
     """Parse a file written by ``write_series_csv``; extra columns must be numeric.
 
-    A row whose cell count differs from the header's, or a cell that is
-    not a finite number, is a ValueError naming the file and line.
+    A malformed file is a ValueError naming the file, and the line when
+    one line is at fault: a row whose cell count differs from the
+    header's, a cell that is not a finite number, a negative true_scale.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path} is empty, expected a header row")
-    header = lines[0].split(",")
+    header, data = load_csv(path, "series rows")
     if "target" not in header:
-        raise ValueError(f"{path} has no 'target' column")
+        raise ValueError(f"{path}: no 'target' column")
     target_col = header.index("target")
     if target_col < 2:
-        raise ValueError("need at least 2 value columns before 'target'")
-    if len(lines) < 2:
-        raise ValueError(f"{path} has no series rows")
-    for number, line in enumerate(lines[1:], start=2):
-        if line.count(",") != len(header) - 1:
-            raise ValueError(f"{path}, line {number}: {line.count(',') + 1} cells, header has {len(header)}")
-    try:
-        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: need at least 2 value columns before 'target'")
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}, line {bad[0] + 2}: non-finite cell")
-    scale = data[:, header.index("true_scale")] if "true_scale" in header else None
+    scale = None
+    if "true_scale" in header:
+        scale = data[:, header.index("true_scale")]
+        bad = np.flatnonzero(scale < 0.0)
+        if bad.size:
+            raise ValueError(f"{path}, line {bad[0] + 2}: negative true_scale {scale[bad[0]]}")
     return RawSeries(values=data[:, :target_col], target=data[:, target_col], true_scale=scale)

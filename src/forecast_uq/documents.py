@@ -1,4 +1,4 @@
-"""Strict loading of JSON documents into frozen dataclasses.
+"""Strict loading of JSON documents into frozen dataclasses, and of CSV tables into arrays.
 
 A class's fields give the allowed keys, the required keys (no default) and
 each value's type: bool, int, float, str, object (any value), list (any
@@ -6,6 +6,10 @@ array), X | None, tuple[X, ...], tuple[X, Y], dict[str, X], or a nested
 dataclass or NamedTuple. ``int`` rejects booleans and floats, ``float``
 takes finite numbers only, and every failure is a ``ConfigError`` reading
 ``<file>.<field path>: <reason>``. Semantic checks stay in ``__post_init__``.
+
+``load_csv`` reads a header line and rows of numbers; every failure is a
+``ValueError`` reading ``<file>, line <n>: <reason>``, or ``<file>: <reason>``
+when no single line is at fault.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import math
 import sys
 import types
 import typing
+
+import numpy as np
 
 from .exceptions import ConfigError
 
@@ -31,6 +37,37 @@ def load_json(path, cls):
         except (ValueError, RecursionError) as exc:  # malformed, undecodable or too deep
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return from_document(cls, raw, str(path))
+
+
+def load_csv(path, rows: str) -> tuple[list[str], np.ndarray]:
+    """The header cells and an (n, columns) float array of the CSV file at ``path``.
+
+    ``rows`` names the data rows in the message for a file that has none.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2:
+        raise ValueError(f"{path}: no {rows} after the header")
+    header = lines[0].split(",")
+    for number, line in enumerate(lines[1:], start=2):
+        if line.count(",") != len(header) - 1:
+            raise ValueError(f"{path}, line {number}: {line.count(',') + 1} cells, header has {len(header)}")
+    try:
+        return header, np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        # parse line by line to find the first bad one, with numpy's reason
+        for number, line in enumerate(lines[1:], start=2):
+            try:
+                np.loadtxt([line], delimiter=",", comments=None)
+            except ValueError as line_exc:
+                reason = str(line_exc).replace(" at row 0, column ", " in column ")
+                raise ValueError(f"{path}, line {number}: {reason}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def from_document(cls, raw, where: str):

@@ -140,13 +140,12 @@ class TrainConfig:
             raise ConfigError("batch_size must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.learning_rate <= 0.0:
-            raise ConfigError("learning_rate must be positive")
+        for name in ("learning_rate", "eps"):
+            if not getattr(self, name) > 0.0:  # also rejects NaN
+                raise ConfigError(f"{name} must be positive")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1)")
-        if self.eps <= 0.0:
-            raise ConfigError("eps must be positive")
 
 
 def _dropout(h: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:

@@ -20,7 +20,7 @@ import numpy as np
 from ..exceptions import ShapeError
 from .tensor import Tensor, affine, as_tensor, concat
 
-ACTIVATIONS = ("relu", "sigmoid", "tanh", "elu", "identity")
+ACTIVATIONS = ("relu", "tanh", "identity")
 
 
 def _apply_activation(t: Tensor, activation: str) -> Tensor:
@@ -28,12 +28,8 @@ def _apply_activation(t: Tensor, activation: str) -> Tensor:
         return t
     if activation == "relu":
         return t.relu()
-    if activation == "sigmoid":
-        return t.sigmoid()
     if activation == "tanh":
         return t.tanh()
-    if activation == "elu":
-        return t.elu()
     raise ValueError(f"unknown activation {activation!r}")
 
 

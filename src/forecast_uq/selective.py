@@ -12,7 +12,6 @@ Keeping nothing leaves the error undefined, reported as NaN rather than
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -21,9 +20,10 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
+from .documents import load_csv
+
 __all__ = [
     "KEEP_GRID",
-    "CurvePoint",
     "ErrorKeepCurve",
     "PredictionRecords",
     "error_keep_curve",
@@ -41,22 +41,21 @@ __all__ = [
 # Fixed readout fractions for side-by-side model tables.
 KEEP_GRID = (0.25, 0.41, 0.5, 0.75, 0.995, 1.0)
 
-
-@dataclass(frozen=True)
-class CurvePoint:
-    threshold: float
-    keep_fraction: float
-    mae: float  # NaN when nothing is kept
-    n_kept: int
+_CURVE_COLUMNS = ("threshold", "keep_fraction", "mae", "n_kept")  # ErrorKeepCurve fields, CSV header
 
 
 @dataclass(frozen=True)
 class ErrorKeepCurve:
-    points: tuple[CurvePoint, ...]
-    n_total: int
+    """One curve point per threshold, as four equal-length arrays.
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+    ``mae`` is NaN where nothing is kept. The last point keeps every
+    record, so ``n_kept[-1]`` is the number of records.
+    """
+
+    threshold: np.ndarray
+    keep_fraction: np.ndarray
+    mae: np.ndarray
+    n_kept: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -80,6 +79,10 @@ def make_records(y_true, y_hat, scores) -> PredictionRecords:
         raise ValueError("y_true, y_hat, scores must be equal-length vectors")
     if len(scores) == 0:
         raise ValueError("records must be nonempty")
+    for name, values in (("y_true", y_true), ("y_hat", y_hat)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {values[bad[0]]} at index {bad[0]}")
     bad = np.flatnonzero(~(np.isfinite(scores) & (scores >= 0.0)))
     if bad.size:
         raise ValueError(f"score must be finite and nonnegative, got {scores[bad[0]]} at index {bad[0]}")
@@ -113,19 +116,10 @@ def error_keep_curve(records: PredictionRecords, n_points: int = 50) -> ErrorKee
     if len(unique) > n_points - 1:
         pick = np.linspace(0, len(unique) - 1, n_points - 1).round().astype(int)
         unique = unique[np.unique(pick)]
-    thresholds = list(unique) + [math.inf]
-    points = []
-    for threshold in thresholds:
-        mae, keep = mae_at_threshold(records, threshold)
-        points.append(
-            CurvePoint(
-                threshold=float(threshold),
-                keep_fraction=keep,
-                mae=mae,
-                n_kept=int(round(keep * len(records))),
-            )
-        )
-    return ErrorKeepCurve(points=tuple(points), n_total=len(records))
+    thresholds = np.append(unique, math.inf)
+    mae, keep = np.array([mae_at_threshold(records, t) for t in thresholds]).T
+    n_kept = np.rint(keep * len(records)).astype(np.int64)
+    return ErrorKeepCurve(threshold=thresholds, keep_fraction=keep, mae=mae, n_kept=n_kept)
 
 
 def mae_at_keep(records: PredictionRecords, k_fraction: float) -> float:
@@ -168,31 +162,20 @@ def error_score_correlation(records: PredictionRecords):
 
 
 def write_curve_csv(curve: ErrorKeepCurve, path) -> None:
+    rows = zip(*(getattr(curve, name).tolist() for name in _CURVE_COLUMNS))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["threshold", "keep_fraction", "mae", "n_kept"])
-        for p in curve.points:
-            writer.writerow([repr(p.threshold), repr(p.keep_fraction), repr(p.mae), p.n_kept])
+        fh.write(",".join(_CURVE_COLUMNS) + "\n")
+        fh.writelines(f"{t!r},{k!r},{m!r},{n}\n" for t, k, m, n in rows)
 
 
 def read_curve_csv(path) -> ErrorKeepCurve:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["threshold", "keep_fraction", "mae", "n_kept"]:
-            raise ValueError(f"unexpected curve header {header}")
-        points = tuple(
-            CurvePoint(
-                threshold=float(row[0]),
-                keep_fraction=float(row[1]),
-                mae=float(row[2]),
-                n_kept=int(row[3]),
-            )
-            for row in reader
-        )
-    if not points:
-        raise ValueError(f"{path} has no curve points")
-    return ErrorKeepCurve(points=points, n_total=points[-1].n_kept)
+    header, data = load_csv(path, "curve points")
+    if tuple(header) != _CURVE_COLUMNS:
+        raise ValueError(f"{path}: unexpected curve header {header}")
+    threshold, keep_fraction, mae, n_kept = data.T
+    if not (np.isfinite(n_kept) & (n_kept == np.rint(n_kept))).all():
+        raise ValueError(f"{path}: n_kept must hold whole numbers")
+    return ErrorKeepCurve(threshold, keep_fraction, mae, n_kept.astype(np.int64))
 
 
 def write_scatter_csv(scatter: np.ndarray, path) -> None:
@@ -201,10 +184,8 @@ def write_scatter_csv(scatter: np.ndarray, path) -> None:
     if scatter.ndim != 2 or scatter.shape[1] != 2:
         raise ValueError(f"scatter must be (N, 2), got {scatter.shape}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["abs_error", "score"])
-        for err, score in scatter:
-            writer.writerow([repr(float(err)), repr(float(score))])
+        fh.write("abs_error,score\n")
+        fh.writelines(f"{err!r},{score!r}\n" for err, score in scatter.tolist())
 
 
 def write_matrix_json(rows: dict, keep_grid: Sequence[float], path) -> None:

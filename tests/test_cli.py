@@ -250,6 +250,8 @@ class TestMalformedCsv:
         ("1.0,2.0,3.0", "line 3: 3 cells, header has 10"),
         ("1.0,2.0,3.0,4.0,nan,6.0,7.0,8.0,9.0,2.0", "line 3: non-finite cell"),
         ("1.0,2.0,3.0,4.0,5.0,6.0,7.0,8.0,9.0,inf", "line 3: non-finite cell"),
+        ("1.0,abc,3.0,4.0,5.0,6.0,7.0,8.0,9.0,2.0", "line 3: could not convert string 'abc'"),
+        ("1.0,2.0,3.0,4.0,5.0,6.0,7.0,8.0,9.0,-2.0", "line 3: negative true_scale -2.0"),
     ])
     @pytest.mark.parametrize("command", ["train", "evaluate", "cluster"])
     def test_one_line_error(self, workspace, tmp_path, capsys, command, bad_row, message):
@@ -265,6 +267,14 @@ class TestMalformedCsv:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith(f"error: {bad}, {message}")
+
+    def test_undecodable_bytes_name_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"value_1,value_2,target,true_scale\n1.0,2.0,3.0,1.0\n1.0,\xff2.0,3.0,1.0\n")
+        assert main(["cluster", "--data", str(bad), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err == f"error: {bad}: not UTF-8 text: invalid start byte at byte 54\n"
 
 
 class TestBooleansAreNotNumbers:

@@ -4,6 +4,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from forecast_uq.data import (
     DEFAULT_STD_THRESHOLD,
@@ -368,6 +370,69 @@ class TestCsvRoundTrip:
         path.write_text("value_1,value_2,target\n")
         with pytest.raises(ValueError, match="no series rows"):
             read_series_csv(path)
+
+
+VALID_CSV = (
+    "value_1,value_2,value_3,target,true_scale\n"
+    "12.5,13.0,11.75,12.0,1.5\n"
+    "40.0,38.5,41.25,39.0,3.0\n"
+    "7.0,7.5,8.0,8.5,0.25\n"
+).encode()
+
+CELLS = ["", "abc", "nan", "inf", "-inf", "-1.0", "1e999", "0x10", " 2.5", "1,5", '"3"', "1.0.0", "\u00e9"]
+
+
+@st.composite
+def mutated_csv(draw) -> bytes:
+    """VALID_CSV with one cell, one comma, one row or a few raw bytes changed."""
+    lines = VALID_CSV.decode().split("\n")[:-1]
+    kind = draw(st.sampled_from(["cell", "comma", "row", "bytes"]))
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "cell":
+        cells = lines[i].split(",")
+        j = draw(st.integers(0, len(cells) - 1))
+        cells[j] = draw(st.sampled_from(CELLS) | st.text(max_size=4))
+        lines[i] = ",".join(cells)
+    elif kind == "comma":
+        at = draw(st.integers(0, len(lines[i])))
+        if draw(st.booleans()):
+            lines[i] = lines[i][:at] + "," + lines[i][at:]
+        else:  # drop the first comma at or after `at`, if there is one
+            lines[i] = lines[i][:at] + lines[i][at:].replace(",", "", 1)
+    elif kind == "row":
+        row = draw(st.sampled_from(["", "1.0", lines[-1] + ",1.0", lines[-1]]))
+        if draw(st.booleans()):
+            del lines[i]
+        else:
+            lines.insert(i, row)
+    else:
+        at = draw(st.integers(0, len(VALID_CSV)))
+        cut = draw(st.integers(0, 3))
+        return VALID_CSV[:at] + draw(st.binary(max_size=4)) + VALID_CSV[at + cut:]
+    return ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass")
+
+
+@pytest.fixture(scope="module")
+def mutated_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "series.csv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=mutated_csv())
+@example(data=VALID_CSV.replace(b"13.0", b"abc"))
+@example(data=VALID_CSV.replace(b"3.0\n", b"-3.0\n"))
+@example(data=VALID_CSV.replace(b"38.5", b"\xff8.5"))
+@example(data=VALID_CSV.replace(b"value_3,", b"value_3,,"))
+@example(data=b"")
+def test_mutated_csv_reads_or_names_the_file(mutated_path, data):
+    mutated_path.write_bytes(data)
+    try:
+        series = read_series_csv(mutated_path)
+    except ValueError as exc:
+        message = str(exc)
+        assert message.startswith(str(mutated_path)) and "\n" not in message, message
+    else:
+        assert isinstance(series, RawSeries)
 
 
 class TestFeatureMatrix:

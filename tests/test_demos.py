@@ -1,7 +1,6 @@
-"""The quick demos run to completion as scripts.
+"""Every demo runs to completion as a script.
 
-Demos 03 and 04 train models for tens of seconds each and are left to
-manual runs.
+Demos 03 and 04 train small models and take a few seconds each.
 """
 
 import os
@@ -13,7 +12,12 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("name", ["01_autodiff_basics.py", "02_synthetic_data_tour.py"])
+@pytest.mark.parametrize("name", [
+    "01_autodiff_basics.py",
+    "02_synthetic_data_tour.py",
+    "03_training_uncertainty_models.py",
+    "04_selective_evaluation.py",
+])
 def test_demo_exits_cleanly(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

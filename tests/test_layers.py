@@ -26,10 +26,10 @@ class TestDenseLayer:
         layer = make_dense(np.eye(2), np.zeros(2), "relu")
         np.testing.assert_allclose(layer.forward([[3.0, -2.0]]).data[0], [3.0, 0.0])
 
-    def test_sigmoid_with_bias(self):
-        layer = make_dense([[1.0, 1.0]], [0.5], "sigmoid")
+    def test_tanh_with_bias(self):
+        layer = make_dense([[1.0, 1.0]], [0.5], "tanh")
         out = layer.forward([[0.0, 0.0]]).data[0]
-        np.testing.assert_allclose(out, [0.6224593312018546], atol=1e-15)
+        np.testing.assert_allclose(out, [0.46211715726000974], atol=1e-15)
 
     def test_dimension_mismatch_raises(self):
         layer = make_dense(np.eye(2), np.zeros(2), "identity")
@@ -55,12 +55,13 @@ class TestDenseLayer:
         np.testing.assert_allclose(layer.bias.data, np.zeros(20))
 
     def test_unknown_activation_rejected(self):
-        with pytest.raises(ValueError):
-            make_dense(np.eye(2), np.zeros(2), "softplus")
+        for activation in ("softplus", "sigmoid", "elu"):
+            with pytest.raises(ValueError):
+                make_dense(np.eye(2), np.zeros(2), activation)
 
     def test_gradients_through_layer(self):
         rng = np.random.default_rng(2)
-        layer = DenseLayer.create(3, 2, "elu", rng)
+        layer = DenseLayer.create(3, 2, "tanh", rng)
         x = Tensor(rng.normal(size=(4, 3)))
         check_gradient(
             lambda: layer.forward(x).abs().sum(),

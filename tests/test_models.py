@@ -387,6 +387,11 @@ class TestTrain:
         with pytest.raises(ConfigError, match="seed must be non-negative"):
             TrainConfig(seed=-1)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "eps"])
+    def test_nan_step_size_rejected(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be positive"):
+            TrainConfig(**{field: float("nan")})
+
     def test_lstm_trains_and_improves(self):
         ds = tiny_dataset(200, scale=0.5)
         model = build(ModelSpec.default("lstm", "point", 14, desk=True), seed=0)

@@ -8,7 +8,6 @@ import pytest
 
 from forecast_uq.selective import (
     KEEP_GRID,
-    ErrorKeepCurve,
     error_keep_curve,
     error_score_correlation,
     keep_grid_readout,
@@ -62,46 +61,47 @@ class TestErrorKeepCurve:
     def test_last_point_keeps_everything(self):
         recs = random_records(200)
         curve = error_keep_curve(recs, n_points=20)
-        last = curve.points[-1]
-        assert last.threshold == math.inf
-        assert last.keep_fraction == 1.0 and last.n_kept == 200
-        np.testing.assert_allclose(last.mae, np.mean(recs.abs_error), rtol=1e-12)
+        assert curve.threshold[-1] == math.inf
+        assert curve.keep_fraction[-1] == 1.0 and curve.n_kept[-1] == 200
+        np.testing.assert_allclose(curve.mae[-1], np.mean(recs.abs_error), rtol=1e-12)
 
     def test_oracle_scores_give_monotone_curve(self):
         rng = np.random.default_rng(1)
         errors = rng.exponential(1.0, size=400)
         recs = records_from(errors, errors)
         curve = error_keep_curve(recs, n_points=40)
-        maes = [p.mae for p in curve.points if p.n_kept > 0]
+        maes = curve.mae[curve.n_kept > 0]
         assert np.all(np.diff(maes) >= -1e-12)
 
     def test_first_point_declines_everything(self):
         recs = random_records(50)
-        first = error_keep_curve(recs, n_points=10).points[0]
-        assert first.n_kept == 0 and math.isnan(first.mae)
+        curve = error_keep_curve(recs, n_points=10)
+        assert curve.n_kept[0] == 0 and math.isnan(curve.mae[0])
 
     def test_constant_scores_collapse_to_two_points(self):
         recs = records_from([1.0, 2.0, 3.0], [0.5, 0.5, 0.5])
         curve = error_keep_curve(recs)
-        assert len(curve.points) == 2
-        assert curve.points[1].mae == 2.0
+        assert len(curve.threshold) == 2
+        assert curve.mae[1] == 2.0
 
     def test_n_points_caps_sweep_length(self):
         recs = random_records(5000)
         curve = error_keep_curve(recs, n_points=25)
-        assert len(curve.points) <= 25
-        assert curve.n_total == 5000
+        assert len(curve.threshold) <= 25
+        assert curve.n_kept[-1] == 5000
 
     def test_points_are_bit_identical_to_mae_at_threshold(self):
         recs = random_records(1000, seed=8)
-        for p in error_keep_curve(recs, n_points=30).points:
-            mae, keep = mae_at_threshold(recs, p.threshold)
-            assert (p.mae == mae or math.isnan(p.mae) and math.isnan(mae)) and p.keep_fraction == keep
+        curve = error_keep_curve(recs, n_points=30)
+        for threshold, keep_fraction, point_mae in zip(curve.threshold, curve.keep_fraction, curve.mae):
+            mae, keep = mae_at_threshold(recs, threshold)
+            assert (point_mae == mae or math.isnan(point_mae) and math.isnan(mae)) and keep_fraction == keep
 
     def test_keep_fraction_consistent_with_n_kept(self):
         recs = random_records(333)
-        for p in error_keep_curve(recs, n_points=15).points:
-            assert p.n_kept == round(p.keep_fraction * 333)
+        curve = error_keep_curve(recs, n_points=15)
+        for n_kept, keep_fraction in zip(curve.n_kept, curve.keep_fraction):
+            assert n_kept == round(keep_fraction * 333)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
@@ -230,6 +230,14 @@ class TestMakeRecords:
         with pytest.raises(ValueError):
             make_records([0.0], [0.0], [np.inf])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["y_true", "y_hat"])
+    def test_non_finite_values_rejected(self, field, value):
+        arrays = {"y_true": [0.0, 1.0, 2.0], "y_hat": [0.5, 1.5, 2.5]}
+        arrays[field][2] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got .* at index 2$"):
+            make_records(arrays["y_true"], arrays["y_hat"], [0.1, 0.2, 0.3])
+
 
 class TestFileFormats:
     def test_curve_round_trip(self, tmp_path):
@@ -237,18 +245,33 @@ class TestFileFormats:
         path = tmp_path / "curve.csv"
         write_curve_csv(curve, path)
         loaded = read_curve_csv(path)
-        assert loaded.n_total == curve.n_total
-        assert len(loaded.points) == len(curve.points)
-        for a, b in zip(curve.points, loaded.points):
-            assert a.threshold == b.threshold or (math.isinf(a.threshold) and math.isinf(b.threshold))
-            assert a.keep_fraction == b.keep_fraction
-            assert a.mae == b.mae or (math.isnan(a.mae) and math.isnan(b.mae))
-            assert a.n_kept == b.n_kept
+        assert loaded.n_kept[-1] == curve.n_kept[-1]
+        assert len(loaded.threshold) == len(curve.threshold)
+        for i in range(len(curve.threshold)):
+            a_threshold, b_threshold = curve.threshold[i], loaded.threshold[i]
+            assert a_threshold == b_threshold or (math.isinf(a_threshold) and math.isinf(b_threshold))
+            assert curve.keep_fraction[i] == loaded.keep_fraction[i]
+            a_mae, b_mae = curve.mae[i], loaded.mae[i]
+            assert a_mae == b_mae or (math.isnan(a_mae) and math.isnan(b_mae))
+            assert curve.n_kept[i] == loaded.n_kept[i]
 
     def test_curve_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("cutoff,keep,mae,n\n0.0,0.0,nan,0\n")
         with pytest.raises(ValueError):
+            read_curve_csv(path)
+
+    def test_non_numeric_curve_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "words.csv"
+        path.write_text("threshold,keep_fraction,mae,n_kept\n0.5,0.5,1.0,1\ninf,one,1.5,2\n")
+        with pytest.raises(ValueError, match=r"words\.csv, line 3: .*'one'"):
+            read_curve_csv(path)
+
+    @pytest.mark.parametrize("n_kept", ["1.5", "nan", "inf"])
+    def test_fractional_n_kept_rejected(self, tmp_path, n_kept):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"threshold,keep_fraction,mae,n_kept\n0.5,0.5,1.0,{n_kept}\n")
+        with pytest.raises(ValueError, match=r"counts\.csv: n_kept must hold whole numbers"):
             read_curve_csv(path)
 
     def test_curve_write_is_deterministic(self, tmp_path):
