@@ -287,6 +287,11 @@ def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filt
 
 def cmd_cluster(run: RunConfig, data_path, out_dir, seed: int) -> None:
     series = read_series_csv(data_path)
+    if len(series) < run.k:
+        raise ConfigError(
+            f"{data_path}: {len(series)} series, fewer than k={run.k} clusters; "
+            f"set k in the run config (default {RunConfig.k})"
+        )
     normalized = center_scale_normalize(series.values, run.std_threshold)
     result = kmeans(normalized, run.k, seed=seed)
     os.makedirs(out_dir, exist_ok=True)

@@ -277,6 +277,16 @@ class TestMalformedCsv:
         assert err == f"error: {bad}: not UTF-8 text: invalid start byte at byte 54\n"
 
 
+def test_cluster_with_fewer_series_than_k_names_file_and_field(tmp_path, capsys):
+    data = tmp_path / "two.csv"
+    data.write_text("value_1,value_2,target,true_scale\n1.0,2.0,3.0,1.0\n2.0,1.0,0.5,1.0\n")
+    assert main(["cluster", "--data", str(data), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err == (f"error: {data}: 2 series, fewer than k=16 clusters; "
+                   "set k in the run config (default 16)\n")
+
+
 class TestBooleansAreNotNumbers:
     """A JSON true or false where a number belongs fails: exit 1, one stderr line."""
 
