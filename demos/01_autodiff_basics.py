@@ -53,10 +53,11 @@ for i in range(numeric.shape[0]):
 print("max |analytic - numeric| on dense weights:", np.abs(analytic - numeric).max())
 
 # ----------------------------------------------------------------------------
-# 3. The LSTM cell unrolls over steps; gradients flow through time.
+# 3. The LSTM cell runs over a (steps, batch, input) sequence as one tape op;
+#    its backward pass is backpropagation through time.
 
 cell = LstmCell.create(1, 4, rng)
-steps = [Tensor(rng.normal(size=(2, 1))) for _ in range(5)]
+steps = rng.normal(size=(5, 2, 1))
 with GradientTape() as tape:
     h_final = cell.run(steps)
     loss = (h_final * h_final).sum()

@@ -191,16 +191,26 @@ def cmd_train(run: RunConfig, data_path, out_dir, jobs: int = 1) -> list[str]:
 # -- evaluate -----------------------------------------------------------------
 
 
-def _load_checkpoints(checkpoints_dir, seeds_filter=None):
-    """Group checkpoint models as {(backbone, uncertainty): {seed: model}}."""
+def _load_checkpoints(checkpoints_dir, data_path, data_shape, seeds_filter):
+    """Group checkpoint models as {(backbone, uncertainty): {seed: model}}.
+
+    A kept model whose input width differs from the features of
+    ``data_path`` (shape ``data_shape``) raises ``ShapeError`` naming both files.
+    """
     groups: dict[tuple[str, str], dict[int, object]] = {}
     names = sorted(os.listdir(checkpoints_dir))
     for name in names:
         if not name.endswith(".ckpt.json"):
             continue
-        model = load_checkpoint(os.path.join(checkpoints_dir, name))
+        path = os.path.join(checkpoints_dir, name)
+        model = load_checkpoint(path)
         if seeds_filter is not None and model.seed not in seeds_filter:
             continue
+        if model.spec.input_dim != data_shape[1]:
+            raise ShapeError(
+                f"{path}: expected an (N, {model.spec.input_dim}) batch, "
+                f"got shape {data_shape} from {data_path}"
+            )
         key = (model.spec.backbone, model.spec.uncertainty)
         by_seed = groups.setdefault(key, {})
         if model.seed in by_seed:
@@ -239,11 +249,14 @@ def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filt
     dataset = make_dataset(read_series_csv(data_path), run.std_threshold)
     x, y = dataset.x, dataset.y
     var_scores = input_variance_score(dataset.values)
+    groups = _load_checkpoints(checkpoints_dir, data_path, x.shape, seeds_filter)
+    if not groups:
+        seeds = "" if seeds_filter is None else " for seeds " + ",".join(map(str, sorted(seeds_filter)))
+        raise ConfigError(f"{checkpoints_dir}: no checkpoints{seeds}")
     os.makedirs(out_dir, exist_ok=True)
 
     # row name -> {seed: records}; each baseline is a one-seed row at seed 0
     row_records: dict[str, dict[int, PredictionRecords]] = {}
-    groups = _load_checkpoints(checkpoints_dir, seeds_filter)
     for (backbone, uncertainty), by_seed in sorted(groups.items()):
         for seed in sorted(by_seed):
             for score_name, records in _model_scores(by_seed[seed], x, y, var_scores, run):

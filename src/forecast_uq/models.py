@@ -216,10 +216,10 @@ class _LstmTower:
         """The cell stack's final hidden state: everything before the first dropout mask."""
         # The recurrence holds no dropout, so MC-dropout passes share one run of
         # it; dropout inside the recurrence would move this split point.
-        steps = [Tensor(x[:, i : i + 1]) for i in range(self.input_dim - 2)]
+        seq = np.ascontiguousarray(x[:, : self.input_dim - 2].T)[:, :, None]
         for cell in self.cells[:-1]:
-            steps = cell.run(steps, return_sequence=True)
-        return self.cells[-1].run(steps)
+            seq = cell.run(seq, return_sequence=True)
+        return self.cells[-1].run(seq)
 
     def tail(self, z: Tensor, x: np.ndarray, dropout_p: float = 0.0, rng=None) -> Tensor:
         """The rest of ``forward`` from trunk output ``z``: masks before and after the head."""

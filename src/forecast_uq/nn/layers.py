@@ -7,8 +7,10 @@ state mixes the previous state with a tanh candidate, and the hidden
 state is the output gate times tanh of the cell state. No peepholes, no
 layer normalization.
 
-Both layers take ``(batch, dim)`` rows only (one sample is a one-row
-batch) and raise ``ShapeError`` on any other shape; all math is float64.
+``DenseLayer.forward`` and ``LstmCell.step`` take ``(batch, dim)`` rows
+only (one sample is a one-row batch); ``LstmCell.run`` takes a
+``(steps, batch, input_dim)`` sequence. Each raises ``ShapeError`` on any
+other shape; all math is float64.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ShapeError
-from .tensor import Tensor, affine, as_tensor, concat
+from .tensor import Tensor, _record_op, affine, as_tensor, concat, will_record
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
@@ -145,23 +147,96 @@ class LstmCell:
         h_t = o_t * c_t.tanh()
         return h_t, c_t
 
-    def run(self, steps, return_sequence: bool = False):
-        """Run over a sequence of per-step inputs, starting from zero state.
+    def run(self, x, return_sequence: bool = False) -> Tensor:
+        """Run over a (steps, batch, input_dim) sequence from zero state, as one tape op.
 
-        ``steps`` is a list of (batch, input_dim) arrays or tensors, one per
-        time step. Returns the final hidden state, or every hidden state
-        when ``return_sequence`` is set.
+        Returns the final (batch, hidden_dim) hidden state, or the
+        (steps, batch, hidden_dim) sequence of hidden states when
+        ``return_sequence`` is set. The forward does ``step``'s float
+        operations gate by gate; the gradients equal a ``step`` chain's up
+        to float summation order.
+
+        The gates are stacked as one (4 * hidden, hidden + input) weight in
+        the order f, i, o | c. Each step is one matmul of ``[h, x_t]``
+        against it into gate-major (4, batch, hidden) blocks, one sigmoid
+        over the three sigmoid gates and one tanh over the candidate, all
+        in preallocated buffers. Only a call that goes on a tape keeps the
+        per-step ``[h, x_t]``, gates, cell states and their tanh; its
+        vector-Jacobian product runs backpropagation through time with
+        one GEMM per step and one weight-gradient GEMM over all steps.
         """
-        first = as_tensor(steps[0])
-        n = first.shape[0]
-        h = Tensor(np.zeros((n, self.hidden_dim)))
-        c = Tensor(np.zeros((n, self.hidden_dim)))
-        outputs = []
-        for x_t in steps:
-            h, c = self.step(h, c, x_t)
-            if return_sequence:
-                outputs.append(h)
-        return outputs if return_sequence else h
+        x = as_tensor(x)
+        hid, n_in = self.hidden_dim, self.input_dim
+        if x.data.ndim != 3 or 0 in x.shape[:2] or x.shape[2] != n_in:
+            raise ShapeError(
+                f"sequence must be (steps, batch, {n_in}) with steps, batch >= 1, got {x.shape}"
+            )
+        n_steps, n_rows, _ = x.shape
+        params = (self.w_f, self.w_i, self.w_o, self.w_c, self.b_f, self.b_i, self.b_o, self.b_c)
+        inputs = (x, *params)
+        record = will_record(inputs)
+        w = np.concatenate([p.data for p in params[:4]])
+        w_gates = w.reshape(4, hid, hid + n_in).transpose(0, 2, 1)
+        b_gates = np.concatenate([p.data for p in params[4:]]).reshape(4, 1, hid)
+
+        # one slot per step when recording, else one slot reused by every step;
+        # cells[0] is the zero initial state
+        kept = n_steps if record else 1
+        hx_all = np.empty((kept, n_rows, hid + n_in))
+        gates = np.empty((kept, 4, n_rows, hid))
+        cells = np.zeros((n_steps + 1 if record else 1, n_rows, hid))
+        tanh_cells = np.empty((kept, n_rows, hid))
+        seq = np.empty((n_steps, n_rows, hid)) if return_sequence else None
+        h = np.zeros((n_rows, hid))
+        scratch = np.empty((n_rows, hid))
+        for t in range(n_steps):
+            k = t if record else 0
+            hx, a, tanh_c = hx_all[k], gates[k], tanh_cells[k]
+            c_prev, c = (cells[t], cells[t + 1]) if record else (cells[0], cells[0])
+            hx[:, :hid] = h
+            hx[:, hid:] = x.data[t]
+            np.matmul(hx, w_gates, out=a)
+            a += b_gates
+            # 1 / (1 + exp(-s)) in place: Tensor.sigmoid's bits without three
+            # gate-sized temporaries, which cost page faults at inference batch sizes
+            s = a[:3]
+            np.negative(s, out=s)
+            np.exp(s, out=s)
+            s += 1.0
+            np.divide(1.0, s, out=s)
+            np.tanh(a[3], out=a[3])
+            f, i, o, g = a
+            np.multiply(f, c_prev, out=c)
+            c += np.multiply(i, g, out=scratch)
+            np.tanh(c, out=tanh_c)
+            h = np.multiply(o, tanh_c, out=seq[t] if return_sequence else h)
+
+        def vjp(grad):
+            d_gates = np.empty((n_steps, n_rows, 4 * hid))
+            d_x = np.empty(x.shape)
+            dh = np.zeros((n_rows, hid)) if return_sequence else grad
+            dc = np.zeros((n_rows, hid))
+            for t in reversed(range(n_steps)):
+                if return_sequence:
+                    dh = dh + grad[t]
+                f, i, o, g = gates[t]
+                tanh_c = tanh_cells[t]
+                da = d_gates[t].reshape(n_rows, 4, hid)
+                dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+                da[:, 0] = dc * cells[t] * f * (1.0 - f)
+                da[:, 1] = dc * g * i * (1.0 - i)
+                da[:, 2] = dh * tanh_c * o * (1.0 - o)
+                da[:, 3] = dc * i * (1.0 - g * g)
+                dc = dc * f
+                dhx = d_gates[t] @ w
+                dh = dhx[:, :hid]
+                d_x[t] = dhx[:, hid:]
+            flat = d_gates.reshape(n_steps * n_rows, 4 * hid)
+            dw = flat.T @ hx_all.reshape(n_steps * n_rows, hid + n_in)
+            db = flat.sum(axis=0)
+            return (d_x, *np.split(dw, 4), *np.split(db, 4))
+
+        return _record_op(inputs, seq if return_sequence else h, vjp)
 
     def parameters(self) -> dict[str, Tensor]:
         return {

@@ -139,15 +139,20 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def will_record(inputs: Iterable[Tensor]) -> bool:
+    """Whether an op on ``inputs`` goes on this thread's tape: one is open and tracks an input."""
+    tape = getattr(_state, "tape", None)
+    return tape is not None and any(tape._tracks(t) for t in inputs)
+
+
 def _record_op(
     inputs: tuple[Tensor, ...],
     out_data: np.ndarray,
     vjp: Callable[[np.ndarray], tuple],
 ) -> Tensor:
     out = Tensor(out_data)
-    tape = getattr(_state, "tape", None)
-    if tape is not None and any(tape._tracks(t) for t in inputs):
-        tape._record(inputs, out, vjp)
+    if will_record(inputs):
+        _state.tape._record(inputs, out, vjp)
     return out
 
 

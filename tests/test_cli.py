@@ -220,6 +220,38 @@ class TestEvaluate:
         assert "duplicate" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("seeds, suffix", [(None, ""), ("7,5", " for seeds 5,7")])
+    def test_no_checkpoints_fails_before_writing(self, workspace, tmp_path, capsys, seeds,
+                                                 suffix):
+        ckpts = workspace["ckpts"]
+        argv = ["evaluate", "--config", str(workspace["run_config"]),
+                "--data", str(workspace["data"]), "--out", str(tmp_path / "out")]
+        if seeds is None:
+            ckpts = tmp_path / "empty"
+            ckpts.mkdir()
+        else:
+            argv += ["--seeds", seeds]
+        assert main(argv + ["--checkpoints", str(ckpts)]) == 1
+        assert capsys.readouterr().err == f"error: {ckpts}: no checkpoints{suffix}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_data_of_another_width_names_both_files(self, workspace, tmp_path, capsys):
+        config = tmp_path / "generator.json"
+        config.write_text(json.dumps({**GENERATOR, "series_length": 12}))
+        data = tmp_path / "wide.csv"
+        assert main(["generate", "--config", str(config), "--out", str(data)]) == 0
+        capsys.readouterr()
+        code = main(["evaluate", "--config", str(workspace["run_config"]), "--data", str(data),
+                     "--checkpoints", str(workspace["ckpts"]), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        first = workspace["ckpts"] / "dense_heteroscedastic_seed0.ckpt.json"
+        assert err == (f"error: {first}: expected an (N, 10) batch, "
+                       f"got shape (60, 14) from {data}\n")
+        assert not (tmp_path / "out").exists()
+
+
 class TestCluster:
     def test_centroids_table(self, cluster_results):
         lines = (cluster_results / "centroids.csv").read_text().splitlines()

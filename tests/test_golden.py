@@ -129,11 +129,11 @@ LSTM_RUN = {
 
 LSTM_GOLDEN = {
     "lstm_ckpt/lstm_heteroscedastic_seed0.ckpt.json":
-        "3919af270ebd8db09e0d0602990f90d42ee78fcfd50dbfa9d6ddcdf2a9520dd0",
+        "c12a6c68e203f16388b7e2d7f1f4884a4f98d7c304ac99b99aa41deab89ad680",
     "lstm_ckpt/lstm_heteroscedastic_seed0.history.json":
         "982bd1f8c563bdca553f3531d8a9181b926552f9bfa659432eb6e2cf29cd4b95",
     "lstm_ckpt/lstm_mc_dropout_seed0.ckpt.json":
-        "65c43889a347589d5dc87533d34a3134fab055891fbcf19d2ba48a2c5726ff52",
+        "8e2df4a7f092096a0c7fcdf736f5b0105d54ab970778e3a56b54ab19c986a84e",
     "lstm_ckpt/lstm_mc_dropout_seed0.history.json":
         "0ad0749d55725eb6305db112245e53a500958d33804c28fbe84e3bfef62cfcbf",
     "lstm_eval/curve_baseline_last+input_variance.csv":
@@ -147,13 +147,13 @@ LSTM_GOLDEN = {
     "lstm_eval/curve_lstm_heteroscedastic+predicted_scale_seed0.csv":
         "9e29ab13baa8f23c011e7c000ce62024946cfca13232301e7bea4ee6a0b33228",
     "lstm_eval/curve_lstm_mc_dropout+input_variance_seed0.csv":
-        "61d5f90e6837b4dd6668b3761a4ba979a75e99b82360ef01985b6c43245e3c31",
+        "a14d069b6fc851ae0e0b096f96ad9207818d505a6d9945a5a76bf7a3b5188c42",
     "lstm_eval/curve_lstm_mc_dropout+mc_std_seed0.csv":
-        "d497d9e0a780638f05f07063c5e86cfd48d8bc61d002a13c2908dd22fae8e978",
+        "f9dc29ced38b46cdb92c041a67d6c8bb8f1088967c5ed5c975acf8d67cf79096",
     "lstm_eval/matrix.json":
         "63ffbdd6a89c0141236edd94339721ebff455ecd4a03687f4b987ba0f8d99e56",
     "lstm_eval/scatter.csv":
-        "37759980d9a1d9f0ebb0b0cf52f807156a04a436c4b426de01cc48e86f0d86b2",
+        "3dac73bac34a898684cf56f0a0e10e8bce94e11750d00c2a956a7d2388b07c05",
 }
 
 

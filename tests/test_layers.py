@@ -1,5 +1,7 @@
 """Dense layer and LSTM cell behavior, including hand-computed fixed points."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,16 @@ from forecast_uq.exceptions import ShapeError
 from forecast_uq.nn import DenseLayer, GradientTape, LstmCell, Tensor
 
 from test_tensor import check_gradient
+
+
+def step_chain(cell: LstmCell, steps) -> list[Tensor]:
+    """The per-step taped reference for ``LstmCell.run``: every hidden state of a step chain."""
+    h = c = np.zeros((steps[0].shape[0], cell.hidden_dim))
+    hidden = []
+    for x_t in steps:
+        h, c = cell.step(h, c, x_t)
+        hidden.append(h)
+    return hidden
 
 
 def make_dense(weights, bias, activation) -> DenseLayer:
@@ -101,20 +113,78 @@ class TestLstmCell:
     def test_run_equals_manual_unroll(self):
         rng = np.random.default_rng(3)
         cell = LstmCell.create(2, 3, rng)
-        steps = [rng.normal(size=(4, 2)) for _ in range(3)]
+        steps = rng.normal(size=(3, 4, 2))
         h = np.zeros((4, 3))
         c = np.zeros((4, 3))
         for step in steps:
             h, c = cell.step(h, c, step)
-        np.testing.assert_allclose(cell.run([Tensor(s) for s in steps]).data, h.data)
+        np.testing.assert_allclose(cell.run(Tensor(steps)).data, h.data)
 
     def test_run_sequence_lengths_and_shapes(self):
         rng = np.random.default_rng(4)
         cell = LstmCell.create(2, 5, rng)
-        steps = [Tensor(rng.normal(size=(3, 2))) for _ in range(6)]
-        outputs = cell.run(steps, return_sequence=True)
-        assert len(outputs) == 6
-        assert all(o.shape == (3, 5) for o in outputs)
+        steps = rng.normal(size=(6, 3, 2))
+        assert cell.run(steps, return_sequence=True).shape == (6, 3, 5)
+        assert cell.run(steps).shape == (3, 5)
+
+    @pytest.mark.parametrize("return_sequence", [False, True])
+    def test_run_matches_step_chain_values_and_gradients(self, return_sequence):
+        rng = np.random.default_rng(9)
+        lower = LstmCell.create(2, 4, rng)
+        upper = LstmCell.create(4, 3, rng)
+        data = rng.normal(size=(5, 6, 2))
+        weights = rng.normal(size=(5, 6, 3) if return_sequence else (6, 3))
+        params = list(lower.parameters().values()) + list(upper.parameters().values())
+
+        x = Tensor(data, requires_grad=True)
+        with GradientTape() as tape:
+            out = upper.run(lower.run(x, return_sequence=True), return_sequence)
+            loss = (out * Tensor(weights)).sum()
+        grads = tape.gradients(loss, params + [x])
+
+        steps = [Tensor(x_t, requires_grad=True) for x_t in data]
+        with GradientTape() as tape:
+            hidden = step_chain(upper, step_chain(lower, steps))
+            if return_sequence:
+                ref_out = np.stack([h.data for h in hidden])
+                ref_loss = sum((h * Tensor(w)).sum() for h, w in zip(hidden, weights))
+            else:
+                ref_out = hidden[-1].data
+                ref_loss = (hidden[-1] * Tensor(weights)).sum()
+        ref = tape.gradients(ref_loss, params + steps)
+
+        np.testing.assert_allclose(out.data, ref_out, rtol=1e-12, atol=0.0)
+        for p in params:
+            np.testing.assert_allclose(grads[p], ref[p], rtol=1e-12, atol=1e-15)
+        d_x = np.stack([ref[s] for s in steps])
+        np.testing.assert_allclose(grads[x], d_x, rtol=1e-12, atol=1e-15)
+
+    def test_run_is_one_tape_record_per_call(self):
+        rng = np.random.default_rng(10)
+        lower = LstmCell.create(1, 3, rng)
+        upper = LstmCell.create(3, 2, rng)
+        x = rng.normal(size=(7, 4, 1))
+        with GradientTape() as tape:
+            upper.run(lower.run(x, return_sequence=True))
+        assert len(tape._records) == 2
+        frozen = LstmCell(**{k: Tensor(v.data) for k, v in lower.parameters().items()})
+        with GradientTape() as tape:
+            frozen.run(x)
+        assert tape._records == []
+
+    def test_run_outside_a_tape_keeps_no_step_caches(self):
+        rng = np.random.default_rng(11)
+        cell = LstmCell.create(1, 16, rng)
+        x = rng.normal(size=(200, 100, 1))
+        step_cache = 100 * (17 + 4 * 16 + 2 * 16) * 8  # [h, x_t], gates, c_t, tanh(c_t)
+        tracemalloc.start()
+        try:
+            cell.run(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # caching every step would hold 200 step caches at once
+        assert peak < 20 * step_cache
 
     def test_forget_bias_initialized_to_one(self):
         cell = LstmCell.create(2, 4, np.random.default_rng(5))
@@ -129,11 +199,15 @@ class TestLstmCell:
             cell.step(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 2))))
         with pytest.raises(ShapeError):
             cell.step(np.zeros(3), np.zeros(3), np.zeros(2))
+        for bad in ([], np.zeros((4, 2)), np.zeros((0, 4, 2)), np.zeros((3, 0, 2)),
+                    np.zeros((3, 4, 3)), np.zeros((3, 4, 2, 1))):
+            with pytest.raises(ShapeError):
+                cell.run(bad)
 
     def test_bptt_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
         cell = LstmCell.create(1, 2, rng)
-        steps = [Tensor(rng.normal(size=(3, 1))) for _ in range(4)]
+        steps = Tensor(rng.normal(size=(4, 3, 1)))
         check_gradient(
             lambda: cell.run(steps).abs().sum(),
             list(cell.parameters().values()),
@@ -144,7 +218,7 @@ class TestLstmCell:
         rng = np.random.default_rng(8)
         lower = LstmCell.create(1, 2, rng)
         upper = LstmCell.create(2, 2, rng)
-        steps = [Tensor(rng.normal(size=(2, 1))) for _ in range(3)]
+        steps = Tensor(rng.normal(size=(3, 2, 1)))
 
         def loss():
             hidden = lower.run(steps, return_sequence=True)
