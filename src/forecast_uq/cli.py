@@ -365,6 +365,12 @@ def _resolve_out(args, kind: str) -> str:
     raise ConfigError(f"no output location: pass --out or set {OUT_ENV_VAR}")
 
 
+def _check_one_seed(args) -> None:
+    """Reject a ``--seeds`` list of more than one seed for a command that takes one."""
+    if args.seeds and len(args.seeds) > 1:
+        raise ConfigError(f"{args.command} takes one seed, got {','.join(map(str, args.seeds))}")
+
+
 def _run_config(args) -> RunConfig:
     run = load_json(args.config, RunConfig) if args.config else RunConfig()
     if args.seeds:
@@ -410,6 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _main_generate(args) -> int:
     config = load_json(args.config, GeneratorConfig) if args.config else DEFAULT_GENERATOR
+    _check_one_seed(args)
     if args.seeds:
         config = replace(config, seed=args.seeds[0])
     out_path = _resolve_out(args, "file")
@@ -434,9 +441,9 @@ def _main_evaluate(args) -> int:
 
 
 def _main_cluster(args) -> int:
+    _check_one_seed(args)
     run = _run_config(args)
-    seed = args.seeds[0] if args.seeds else run.seeds[0]
-    cmd_cluster(run, args.data, _resolve_out(args, "dir"), seed)
+    cmd_cluster(run, args.data, _resolve_out(args, "dir"), run.seeds[0])
     return 0
 
 

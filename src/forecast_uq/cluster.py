@@ -34,10 +34,11 @@ def _squared_distances(points: np.ndarray, centroids: np.ndarray, rows=None) -> 
     """
     count = points.shape[0] if rows is None else rows.size
     out = np.empty((count, centroids.shape[0]))
+    buf = np.empty((min(count, DISTANCE_BLOCK_ROWS),) + centroids.shape)
     for start in range(0, count, DISTANCE_BLOCK_ROWS):
         block = slice(start, start + DISTANCE_BLOCK_ROWS)
         chunk = points[block] if rows is None else points[rows[block]]
-        diff = chunk[:, None, :] - centroids[None, :, :]
+        diff = np.subtract(chunk[:, None, :], centroids[None], out=buf[: len(chunk)])
         out[block] = np.einsum("nkd,nkd->nk", diff, diff)
     return out
 

@@ -19,6 +19,7 @@ on.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,8 +174,7 @@ class GeneratorConfig:
                 raise ConfigError(f"family count must be a positive integer, got {name}={count!r}")
         if self.series_length < 2:
             raise ConfigError("series_length must be at least 2")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        _check_seed(self.seed)
         lo, hi = self.amplitude_range
         if not (0.0 < lo <= hi):
             raise ConfigError("amplitude_range must satisfy 0 < low <= high")
@@ -214,6 +214,15 @@ def _noise_number(noise: dict, key: str):
     return value
 
 
+def _check_seed(seed) -> int:
+    """``seed`` if it is a non-negative integer; booleans are not seeds."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return int(seed)
+
+
 def _pattern(family: str, amplitude: float, n_steps: int, rng: np.random.Generator) -> np.ndarray:
     """Deterministic shape of one series over steps 1..n_steps."""
     t = np.arange(1, n_steps + 1, dtype=np.float64)
@@ -243,21 +252,111 @@ def _noise_scale(config: GeneratorConfig, amplitude: float, rng: np.random.Gener
     return float(noise["low"] + (noise["high"] - noise["low"]) * frac)
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+# series hashed per block: wide enough for numpy, and a block's Python ints stay few
+_SEED_BLOCK = 1024
+
+
+def _seed_sequence_state(entropy: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence(words).generate_state(4, np.uint64)`` per lane, as a (4, lanes) array.
+
+    ``entropy`` holds the uint32 entropy words in order, one array per word
+    and one lane per sequence. Runs SeedSequence's pool mixing and
+    ``generate_state`` on those arrays. The hash constant advances the
+    same way in every lane, so it is a Python int.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0]))
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # eight words cycling over the pool, paired little-endian into uint64
+    hash_const = _INIT_B
+    words = np.empty((8, len(entropy[0])), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= hash_const
+        words[i] = value ^ (value >> 16)
+    return words[0::2].astype(np.uint64) | words[1::2].astype(np.uint64) << 32
+
+
+def _pcg64_states(base_seed: int, count: int, stream: int) -> Iterator[dict]:
+    """``PCG64(SeedSequence([base_seed, index, stream])).state`` for each index < count, in order.
+
+    The entropy words are those of ``base_seed`` (32-bit words, low first,
+    as SeedSequence reads an int), then ``index``, then ``stream``; each
+    index is one word, since 2**32 series could not be allocated. PCG64's
+    seeding step runs on Python ints.
+    """
+    base_words = []
+    value = base_seed
+    while True:
+        base_words.append(value & _MASK32)
+        value >>= 32
+        if not value:
+            break
+    for start in range(0, count, _SEED_BLOCK):
+        lanes = np.arange(start, min(start + _SEED_BLOCK, count), dtype=np.uint32)
+        entropy = [np.full_like(lanes, word) for word in base_words] + [lanes, np.full_like(lanes, stream)]
+        halves = _seed_sequence_state(entropy)
+        # pcg64_set_seed: initstate is halves 0:1, initseq halves 2:3
+        for state_hi, state_lo, seq_hi, seq_lo in zip(*halves.tolist()):
+            inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
+            state = ((inc + ((state_hi << 64) | state_lo)) * _PCG64_MULT + inc) & _MASK128
+            yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                   "has_uint32": 0, "uinteger": 0}
+
+
 def generate_synthetic(config: GeneratorConfig, seed: int | None = None) -> RawSeries:
     """Draw the configured families, in canonical family order.
 
     Each series gets two independent seeded streams: one for its
     pattern, one for its noise. Patterns are therefore stable across
     noise-law changes. ``seed`` overrides ``config.seed`` when given.
+
+    Series ``index`` draws its pattern from exactly the stream of
+    ``default_rng(SeedSequence([seed, index, 0]))`` and its noise from
+    ``[seed, index, 1]``. The seeds are hashed on arrays, a block of
+    series at a time, and two generators are re-seeded per series rather
+    than built.
     """
-    base_seed = config.seed if seed is None else seed
+    base_seed = _check_seed(config.seed if seed is None else seed)
     n_steps = config.series_length + 1  # window plus the target step
     families = [family for family in FAMILIES for _ in range(config.families.get(family, 0))]
     z = np.empty((len(families), n_steps))
     scales = np.empty(len(families))
-    for index, family in enumerate(families):
-        pattern_rng = np.random.default_rng(np.random.SeedSequence([base_seed, index, 0]))
-        noise_rng = np.random.default_rng(np.random.SeedSequence([base_seed, index, 1]))
+    pattern_rng = np.random.Generator(np.random.PCG64(0))
+    noise_rng = np.random.Generator(np.random.PCG64(0))
+    streams = zip(_pcg64_states(base_seed, len(families), 0), _pcg64_states(base_seed, len(families), 1))
+    for index, (family, (pattern_state, noise_state)) in enumerate(zip(families, streams)):
+        pattern_rng.bit_generator.state = pattern_state
+        noise_rng.bit_generator.state = noise_state
         amplitude = float(pattern_rng.uniform(*config.amplitude_range))
         pattern = _pattern(family, amplitude, n_steps, pattern_rng)
         scales[index] = _noise_scale(config, amplitude, noise_rng)

@@ -354,6 +354,8 @@ class TestBooleansAreNotNumbers:
     ("train", "run_config", "-1", "seeds must be non-negative, got -1"),
     ("train", "run_config", "0,0", "seeds must not repeat"),
     ("generate", "gen_config", "-1", "seed must be non-negative, got -1"),
+    ("generate", "gen_config", "3,4", "generate takes one seed, got 3,4"),
+    ("cluster", "run_config", "3,4", "cluster takes one seed, got 3,4"),
 ])
 def test_bad_seed_flag_gives_one_error_line(command, config, seeds, message, workspace,
                                             tmp_path, capsys):

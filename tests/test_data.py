@@ -10,9 +10,14 @@ from hypothesis import strategies as st
 from forecast_uq.data import (
     DEFAULT_STD_THRESHOLD,
     FAMILIES,
+    NOISE_LAWS,
+    _SEED_BLOCK,
     Dataset,
     GeneratorConfig,
     RawSeries,
+    _noise_scale,
+    _pattern,
+    _pcg64_states,
     center_scale_normalize,
     featurize,
     generate_synthetic,
@@ -216,6 +221,60 @@ class TestGenerator:
         assert np.all(np.isfinite(featurize(series.values)))
 
 
+def per_series_generators(config, seed=None):
+    """The generation loop that builds two generators per series, kept as the reference."""
+    base_seed = config.seed if seed is None else seed
+    n_steps = config.series_length + 1  # window plus the target step
+    families = [family for family in FAMILIES for _ in range(config.families.get(family, 0))]
+    z = np.empty((len(families), n_steps))
+    scales = np.empty(len(families))
+    for index, family in enumerate(families):
+        pattern_rng = np.random.default_rng(np.random.SeedSequence([base_seed, index, 0]))
+        noise_rng = np.random.default_rng(np.random.SeedSequence([base_seed, index, 1]))
+        amplitude = float(pattern_rng.uniform(*config.amplitude_range))
+        pattern = _pattern(family, amplitude, n_steps, pattern_rng)
+        scales[index] = _noise_scale(config, amplitude, noise_rng)
+        z[index] = pattern + scales[index] * noise_rng.laplace(0.0, 1.0, size=n_steps)
+    return RawSeries(values=z[:, :-1], target=z[:, -1], true_scale=scales)
+
+
+NOISE = {
+    "constant": {"law": "constant", "scale": 2.0},
+    "uniform": {"law": "uniform", "low": 0.5, "high": 9.0},
+    "amplitude_linear": {"law": "amplitude_linear", "low": 1.0, "high": 20.0},
+}
+
+
+class TestStreamsEqualPerSeriesGenerators:
+    """Array-hashed seeds give the draws of two fresh generators per series, bit for bit."""
+
+    @pytest.mark.parametrize("law", NOISE_LAWS)
+    @pytest.mark.parametrize("base_seed", [0, 11, 2**32 + 5, 2**64 + 3])
+    @pytest.mark.parametrize("override", [False, True])
+    def test_every_family_and_law(self, law, base_seed, override):
+        families = {"periodic": 9, "spikes": 7, "trend": 8, "noise": 6}
+        if override:
+            config = small_config(families=families, noise=NOISE[law], seed=3)
+            got, want = generate_synthetic(config, seed=base_seed), per_series_generators(config, base_seed)
+        else:
+            config = small_config(families=families, noise=NOISE[law], seed=base_seed)
+            got, want = generate_synthetic(config), per_series_generators(config)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.target, want.target)
+        assert np.array_equal(got.true_scale, want.true_scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(base_seed=st.integers(0, 2**96), count=st.integers(1, 40), stream=st.integers(0, 1))
+    @example(base_seed=0, count=1, stream=0)
+    @example(base_seed=2**32, count=3, stream=1)
+    @example(base_seed=2**96, count=2, stream=0)
+    @example(base_seed=5, count=2 * _SEED_BLOCK + 3, stream=1)  # crosses two blocks
+    def test_states_equal_seed_sequence(self, base_seed, count, stream):
+        want = [np.random.PCG64(np.random.SeedSequence([base_seed, index, stream])).state
+                for index in range(count)]
+        assert list(_pcg64_states(base_seed, count, stream)) == want
+
+
 class TestGeneratorConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -258,6 +317,20 @@ class TestGeneratorConfig:
     def test_noise_numbers_exclude_booleans(self, noise, message):
         with pytest.raises(ConfigError) as info:
             small_config(noise=noise)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be non-negative, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+        ("3", "seed must be an integer, got '3'"),
+    ])
+    def test_bad_seed_rejected(self, seed, message):
+        with pytest.raises(ConfigError) as info:
+            small_config(seed=seed)
+        assert str(info.value) == message
+        with pytest.raises(ConfigError) as info:
+            generate_synthetic(small_config(), seed=seed)
         assert str(info.value) == message
 
     def test_wrong_schema_version_rejected(self):
