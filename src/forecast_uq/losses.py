@@ -8,7 +8,10 @@ optimum). The scale ``b`` must stay positive, which is enforced by
 
 Every function here accepts either plain numpy arrays (returning floats/
 arrays) or autodiff tensors (returning tensors), so the exact same
-formula drives both evaluation and gradient-based training. All are pure
+formula drives both evaluation and gradient-based training. On tensors
+each function is one tape op whose forward and vector-Jacobian product do
+the float operations of the equivalent chain of elementwise tape ops, so
+its values and gradients equal that chain's bit for bit. All are pure
 functions and safe for concurrent use.
 """
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn.tensor import Tensor
+from .nn.tensor import Tensor, _record_op, _unbroadcast, as_tensor
 
 DEFAULT_ALPHA = 1.0
 DEFAULT_SCALE_FLOOR = 1e-3
@@ -24,6 +27,19 @@ DEFAULT_SCALE_FLOOR = 1e-3
 
 def _is_tensor(*values) -> bool:
     return any(isinstance(v, Tensor) for v in values)
+
+
+def _check_shapes(name: str, targets, preds, scales=None) -> None:
+    """Targets and predictions of one shape; a scale is one shared value or that shape too."""
+    if targets.shape != preds.shape:
+        raise ValueError(
+            f"{name}: targets {targets.shape} and predictions {preds.shape} differ in shape"
+        )
+    if scales is not None and scales.size != 1 and scales.shape != targets.shape:
+        raise ValueError(
+            f"{name}: scales {scales.shape} are neither one value nor the targets' shape "
+            f"{targets.shape}"
+        )
 
 
 def elu_plus_one(x, alpha: float = DEFAULT_ALPHA):
@@ -35,7 +51,10 @@ def elu_plus_one(x, alpha: float = DEFAULT_ALPHA):
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if isinstance(x, Tensor):
-        return x.elu(alpha) + 1.0
+        # the tape chain x.elu(alpha) + 1.0 as one op
+        neg = x.data < 0.0
+        elu = np.where(neg, alpha * np.expm1(x.data), x.data)
+        return _record_op((x,), elu + 1.0, lambda g: (g * np.where(neg, elu + alpha, 1.0),))
     x = np.asarray(x, dtype=np.float64)
     # alpha*(e^x - 1) + 1 rewritten as alpha*e^x + (1 - alpha): the naive
     # form cancels to exactly 0.0 once e^x drops below float64 epsilon,
@@ -47,41 +66,59 @@ def elu_plus_one(x, alpha: float = DEFAULT_ALPHA):
 def laplace_nll(targets, mus, scales):
     """Summed Laplace negative log likelihood, sum_i [log b_i + |y_i - mu_i| / b_i].
 
-    ``scales`` may be a scalar (shared scale) or per-sample. Raises on
-    non-positive scales.
+    ``targets`` and ``mus`` must have one shape; ``scales`` is one shared
+    value or per-sample in that shape. Raises ``ValueError`` on any other
+    shape, on no samples and on scales that are not strictly positive
+    (NaN included).
     """
-    scale_values = scales.data if isinstance(scales, Tensor) else np.asarray(scales)
-    if np.any(scale_values <= 0.0):
+    inputs = tuple(map(as_tensor, (targets, mus, scales)))
+    y, mu, b = (t.data for t in inputs)
+    _check_shapes("laplace_nll", y, mu, b)
+    if y.size == 0:
+        raise ValueError("laplace_nll needs at least one sample")
+    if not (b > 0.0).all():
         raise ValueError("scales must be strictly positive")
-    if _is_tensor(targets, mus, scales):
-        targets = _as_tensor(targets)
-        mus = _as_tensor(mus)
-        scales = _as_tensor(scales)
-        return (scales.log() + (targets - mus).abs() / scales).sum()
-    targets = np.asarray(targets, dtype=np.float64)
-    mus = np.asarray(mus, dtype=np.float64)
-    return float(np.sum(np.log(scale_values) + np.abs(targets - mus) / scale_values))
+    diff = y - mu
+    ratio = np.abs(diff) / b
+    total = (np.log(b) + ratio).sum()
+    if not _is_tensor(targets, mus, scales):
+        return float(total)
+
+    def vjp(g):
+        # the VJPs of (log(b) + |y - mu| / b).sum() in tape order
+        grid = np.full(ratio.shape, g)
+        g_diff = _unbroadcast(grid / b, diff.shape) * np.sign(diff)
+        # b's gradient adds the division term first, then the log term
+        g_b = _unbroadcast(-grid * ratio / b, b.shape) + _unbroadcast(grid, b.shape) / b
+        return g_diff, -g_diff, g_b
+
+    return _record_op(inputs, total, vjp)
 
 
 def laplace_likelihood(y, mu, b):
     """Laplace density (1 / 2b) * exp(-|y - mu| / b); integrates to 1 over y."""
     b = np.asarray(b, dtype=np.float64)
-    if np.any(b <= 0.0):
+    if not (b > 0.0).all():
         raise ValueError("scale must be strictly positive")
     out = np.exp(-np.abs(np.asarray(y, dtype=np.float64) - mu) / b) / (2.0 * b)
     return float(out) if out.ndim == 0 else out
 
 
 def mae_loss(targets, preds):
-    """Mean absolute error (1/N) * sum |y_i - yhat_i|."""
-    if _is_tensor(targets, preds):
-        return (_as_tensor(targets) - _as_tensor(preds)).abs().mean()
-    targets = np.asarray(targets, dtype=np.float64)
-    preds = np.asarray(preds, dtype=np.float64)
-    if targets.size == 0:
+    """Mean absolute error (1/N) * sum |y_i - yhat_i| over targets and predictions of one shape."""
+    inputs = (as_tensor(targets), as_tensor(preds))
+    y, y_hat = (t.data for t in inputs)
+    _check_shapes("mae_loss", y, y_hat)
+    if y.size == 0:
         raise ValueError("mae_loss needs at least one sample")
-    return float(np.mean(np.abs(targets - preds)))
+    diff = y - y_hat
+    mean = np.abs(diff).mean()
+    if not _is_tensor(targets, preds):
+        return float(mean)
 
+    def vjp(g):
+        # the VJPs of |y - y_hat|.mean() in tape order
+        g_diff = g / diff.size * np.sign(diff)
+        return g_diff, -g_diff
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    return _record_op(inputs, mean, vjp)

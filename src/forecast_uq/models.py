@@ -27,7 +27,7 @@ from .data import Dataset, split
 from .documents import load_json
 from .exceptions import ConfigError, ShapeError, TrainingError
 from .losses import DEFAULT_SCALE_FLOOR, elu_plus_one, laplace_nll, mae_loss
-from .nn import Adam, DenseLayer, GradientTape, LstmCell, Tensor, concat
+from .nn import Adam, DenseLayer, GradientTape, LstmCell, Tensor, concat, dense_chain
 
 __all__ = [
     "BACKBONES",
@@ -148,11 +148,18 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0, 1)")
 
 
-def _dropout(h: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+def _dropout_mask(
+    shape: tuple[int, ...], p: float, rng: np.random.Generator | None
+) -> np.ndarray | None:
+    """An inverted-dropout mask, which scales the survivors so the expectation is unchanged."""
     if p <= 0.0:
-        return h
-    # inverted dropout: scale the survivors so the expectation is unchanged
-    return h * Tensor((rng.random(h.shape) >= p).astype(np.float64) / (1.0 - p))
+        return None
+    return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
+
+
+def _dropout(h: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    mask = _dropout_mask(h.shape, p, rng)
+    return h if mask is None else h * Tensor(mask)
 
 
 class _DenseTower:
@@ -172,14 +179,16 @@ class _DenseTower:
     def trunk(self, x: np.ndarray) -> Tensor:
         """The first hidden layer: everything before the first dropout mask."""
         # no dropout here, so the MC-dropout passes can share one trunk
-        return self.hidden[0].forward(Tensor(x))
+        return dense_chain(x, self.hidden[:1], (None,))
 
     def tail(self, z: Tensor, x: np.ndarray, dropout_p: float = 0.0, rng=None) -> Tensor:
         """The rest of ``forward`` from trunk output ``z``: a mask after each hidden layer."""
-        h = _dropout(z, dropout_p, rng)
-        for layer in self.hidden[1:]:
-            h = _dropout(layer.forward(h), dropout_p, rng)
-        return self.out.forward(h)
+        # every mask is drawn before any layer runs, in the order a layer-by-layer pass draws them
+        rows = z.shape[0]
+        masks = [
+            _dropout_mask((rows, layer.weights.shape[0]), dropout_p, rng) for layer in self.hidden
+        ]
+        return dense_chain(z, [*self.hidden[1:], self.out], masks)
 
     def parameters(self) -> dict[str, Tensor]:
         named = {}

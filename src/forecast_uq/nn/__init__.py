@@ -1,6 +1,6 @@
 """Neural-network kernel: autodiff tensors, layers, Adam."""
 
-from .layers import ACTIVATIONS, DenseLayer, LstmCell
+from .layers import ACTIVATIONS, DenseLayer, LstmCell, dense_chain
 from .optim import Adam
 from .tensor import GradientTape, Tensor, affine, as_tensor, concat
 
@@ -14,4 +14,5 @@ __all__ = [
     "affine",
     "as_tensor",
     "concat",
+    "dense_chain",
 ]

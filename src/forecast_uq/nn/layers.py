@@ -7,10 +7,10 @@ state mixes the previous state with a tanh candidate, and the hidden
 state is the output gate times tanh of the cell state. No peepholes, no
 layer normalization.
 
-``DenseLayer.forward`` and ``LstmCell.step`` take ``(batch, dim)`` rows
-only (one sample is a one-row batch); ``LstmCell.run`` takes a
-``(steps, batch, input_dim)`` sequence. Each raises ``ShapeError`` on any
-other shape; all math is float64.
+``DenseLayer.forward``, ``dense_chain`` and ``LstmCell.step`` take
+``(batch, dim)`` rows only (one sample is a one-row batch);
+``LstmCell.run`` takes a ``(steps, batch, input_dim)`` sequence. Each
+raises ``ShapeError`` on any other shape; all math is float64.
 """
 
 from __future__ import annotations
@@ -80,6 +80,59 @@ class DenseLayer:
 
     def parameters(self) -> dict[str, Tensor]:
         return {"weights": self.weights, "bias": self.bias}
+
+
+def dense_chain(x, layers, masks) -> Tensor:
+    """A chain of dense layers as one tape op: ``h = act((h * mask) @ w.T + b)`` per layer.
+
+    ``masks`` holds one array or ``None`` per layer; a mask multiplies the
+    layer's input (inverted dropout). The forward does a ``DenseLayer.forward``
+    and dropout-multiply chain's float operations, so values and gradients
+    equal that chain's bit for bit. Only a call that goes on a tape keeps
+    each layer's input and output; its vector-Jacobian product replays the
+    chain's VJPs in reverse and skips the input gradient when ``x`` is
+    untracked.
+    """
+    x, layers, masks = as_tensor(x), tuple(layers), tuple(masks)
+    if x.data.ndim != 2 or x.shape[1] != layers[0].in_dim:
+        raise ShapeError(f"dense layer expects (batch, {layers[0].in_dim}) rows, got {x.shape}")
+    inputs = (x, *(p for layer in layers for p in (layer.weights, layer.bias)))
+    weights = [layer.weights.data for layer in layers]
+    record = will_record(inputs)
+    need_dx = record and will_record((x,))
+    h = x.data
+    kept = []  # (layer input, layer output) per layer, on a tape only
+    for layer, w, m in zip(layers, weights, masks):
+        if m is not None:
+            h = h * m
+        a = h @ w.T
+        a += layer.bias.data
+        if layer.activation == "relu":
+            np.maximum(a, 0.0, out=a)
+        elif layer.activation == "tanh":
+            np.tanh(a, out=a)
+        if record:
+            kept.append((h, a))
+        h = a
+
+    def vjp(g):
+        grads = []
+        for i in reversed(range(len(layers))):
+            layer, m, (h_in, out) = layers[i], masks[i], kept[i]
+            if layer.activation == "relu":
+                g = g * (out > 0.0)  # out > 0 exactly where the pre-activation is
+            elif layer.activation == "tanh":
+                g = g * (1.0 - out * out)
+            grads += [g.sum(axis=0), (h_in.T @ g).T]
+            if i == 0 and not need_dx:
+                g = None
+                break
+            g = g @ weights[i]
+            if m is not None:
+                g = g * m
+        return (g, *reversed(grads))
+
+    return _record_op(inputs, h, vjp)
 
 
 @dataclass

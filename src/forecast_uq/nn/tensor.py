@@ -51,14 +51,8 @@ class Tensor:
     def __add__(self, other):
         return _add(self, as_tensor(other))
 
-    def __radd__(self, other):
-        return _add(as_tensor(other), self)
-
     def __sub__(self, other):
         return _sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return _sub(as_tensor(other), self)
 
     def __mul__(self, other):
         return _mul(self, as_tensor(other))
@@ -68,9 +62,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return _div(self, as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return _div(as_tensor(other), self)
 
     # elementwise functions ------------------------------------------------
 
@@ -261,7 +252,7 @@ class GradientTape:
             if g_out is None:
                 continue
             for inp, g in zip(inputs, vjp(g_out)):
-                if not self._tracks(inp):
+                if g is None or not self._tracks(inp):
                     continue
                 key = id(inp)
                 if key in grads:

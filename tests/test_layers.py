@@ -147,7 +147,10 @@ class TestLstmCell:
             hidden = step_chain(upper, step_chain(lower, steps))
             if return_sequence:
                 ref_out = np.stack([h.data for h in hidden])
-                ref_loss = sum((h * Tensor(w)).sum() for h, w in zip(hidden, weights))
+                terms = [(h * Tensor(w)).sum() for h, w in zip(hidden, weights)]
+                ref_loss = terms[0]
+                for term in terms[1:]:
+                    ref_loss = ref_loss + term
             else:
                 ref_out = hidden[-1].data
                 ref_loss = (hidden[-1] * Tensor(weights)).sum()

@@ -115,6 +115,35 @@ class TestLaplaceNll:
         with pytest.raises(ValueError):
             laplace_nll(Tensor([1.0]), Tensor([0.0]), Tensor([-0.5]))
 
+    def test_nan_scale_rejected(self):
+        scales = np.array([1.0, np.nan, 1.0])
+        with pytest.raises(ValueError, match="strictly positive"):
+            laplace_nll(np.ones(3), np.zeros(3), scales)
+        with pytest.raises(ValueError, match="strictly positive"):
+            laplace_nll(Tensor(np.ones(3)), Tensor(np.zeros(3)), Tensor(scales))
+
+    def test_mismatched_shapes_rejected(self):
+        # a (3,) target against a (3, 1) prediction would sum a 3x3 broadcast
+        with pytest.raises(ValueError, match=r"\(3,\).*\(3, 1\)"):
+            laplace_nll(np.ones(3), np.zeros((3, 1)), 1.0)
+        with pytest.raises(ValueError, match=r"\(3, 1\).*\(3,\)"):
+            laplace_nll(Tensor(np.ones((3, 1))), Tensor(np.zeros(3)), 1.0)
+        for scales in (np.ones(2), np.ones((3, 1)), np.ones((1, 3))):
+            with pytest.raises(ValueError, match=r"scales .*\(3,\)"):
+                laplace_nll(np.ones(3), np.zeros(3), scales)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            laplace_nll(np.zeros(0), np.zeros(0), 1.0)
+        with pytest.raises(ValueError, match="at least one sample"):
+            laplace_nll(Tensor(np.zeros((0, 1))), Tensor(np.zeros((0, 1))), Tensor(np.ones((1, 1))))
+
+    def test_shared_scale_forms_agree(self):
+        y, mu = np.array([1.0, -2.0, 0.5]), np.zeros(3)
+        expected = laplace_nll(y, mu, np.full(3, 2.0))
+        for shared in (2.0, [2.0], np.full((1, 1), 2.0)):
+            assert laplace_nll(y, mu, shared) == expected
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
         y = Tensor(rng.normal(size=(10, 1)))
@@ -160,6 +189,10 @@ class TestLaplaceLikelihood:
         with pytest.raises(ValueError):
             laplace_likelihood(0.0, 0.0, 0.0)
 
+    def test_nan_scale_rejected(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            laplace_likelihood(np.zeros(2), 0.0, np.array([1.0, np.nan]))
+
     def test_consistent_with_nll(self):
         y, mu, b = 1.3, 0.4, 1.7
         # nll is the negative log density without the log(2) constant
@@ -185,6 +218,17 @@ class TestMaeLoss:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mae_loss([], [])
+
+    def test_empty_tensor_batch_rejected(self):
+        empty = np.zeros((0, 1))
+        with pytest.raises(ValueError, match="at least one sample"):
+            mae_loss(Tensor(empty), Tensor(empty, requires_grad=True))
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match=r"\(3,\).*\(3, 1\)"):
+            mae_loss(np.ones(3), np.zeros((3, 1)))
+        with pytest.raises(ValueError, match=r"\(2, 1\).*\(1, 1\)"):
+            mae_loss(Tensor(np.ones((2, 1))), Tensor(np.zeros((1, 1))))
 
     def test_tensor_path_matches_array_path(self):
         rng = np.random.default_rng(7)

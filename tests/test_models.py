@@ -22,7 +22,8 @@ from forecast_uq.models import (
     save_checkpoint,
     train,
 )
-from forecast_uq.nn import DenseLayer, GradientTape, LstmCell, Tensor
+from forecast_uq import models
+from forecast_uq.nn import GradientTape, LstmCell, Tensor
 from forecast_uq.losses import DEFAULT_SCALE_FLOOR, laplace_nll
 
 
@@ -222,17 +223,18 @@ class TestMcDropout:
     def test_dense_first_layer_runs_once_per_call(self, monkeypatch, n_samples):
         model = build(ModelSpec.default("dense", "mc_dropout", 14, desk=True), seed=0)
         calls = []
-        forward = DenseLayer.forward
+        chain = models.dense_chain
 
-        def counted(layer, x):
-            calls.append(layer)
-            return forward(layer, x)
+        def counted(x, layers, masks):
+            calls.append(layers)
+            return chain(x, layers, masks)
 
-        monkeypatch.setattr(DenseLayer, "forward", counted)
+        monkeypatch.setattr(models, "dense_chain", counted)
         mc_dropout_predict(model, np.zeros((3, 14)), n_samples=n_samples)
-        tower = model.forecast_tower
-        assert sum(layer is tower.hidden[0] for layer in calls) == 1
-        assert len(calls) == 1 + n_samples * len(tower.hidden)
+        first = model.forecast_tower.hidden[0]
+        assert len(calls) == 1 + n_samples
+        sees_first = [any(layer is first for layer in layers) for layers in calls]
+        assert sees_first == [True] + [False] * n_samples
 
     def test_too_few_samples_rejected(self):
         model = build(ModelSpec.default("dense", "mc_dropout", 14, desk=True), seed=0)

@@ -41,7 +41,7 @@ class TestElementwiseOps:
             lambda t: (t + 2.0 * t).sum(),
             lambda t: (t - 0.5).sum(),
             lambda t: (t / 3.0).sum(),
-            lambda t: (2.0 / (t * t + 1.0)).sum(),
+            lambda t: (Tensor(2.0) / (t * t + 1.0)).sum(),
             lambda t: t.relu().sum(),
             lambda t: t.sigmoid().sum(),
             lambda t: t.tanh().sum(),
