@@ -61,6 +61,27 @@ def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
+def _centroid_means(points: np.ndarray, columns: np.ndarray, assignments: np.ndarray,
+                    counts: np.ndarray) -> np.ndarray:
+    """``points[assignments == c].mean(axis=0)`` for each cluster c, byte for byte.
+
+    ``columns`` is ``points`` column-major and ``counts`` the positive
+    cluster sizes. With at least 2 columns numpy's axis-0 sum adds each
+    column in row order, as ``bincount`` does; one contiguous column it
+    sums pairwise, so that case keeps the per-cluster mean.
+    """
+    k = len(counts)
+    if points.shape[1] == 1:
+        return np.stack([points[assignments == cluster].mean(axis=0) for cluster in range(k)])
+    sums = np.column_stack([np.bincount(assignments, weights=column, minlength=k) for column in columns])
+    # bincount starts from +0.0, as numpy 2.4's sum does; a numpy that starts
+    # from the first member differs only where every member is -0.0, and
+    # then the sum reads 0.0, so those clusters take numpy's own sum
+    for cluster in np.flatnonzero((sums == 0.0).any(axis=1)):
+        sums[cluster] = points[assignments == cluster].sum(axis=0)
+    return sums / counts[:, None]
+
+
 def kmeans(series, k: int, seed: int = 0, max_iter: int = 100) -> ClusterResult:
     """Cluster series into k groups; deterministic given (series, k, seed).
 
@@ -74,7 +95,8 @@ def kmeans(series, k: int, seed: int = 0, max_iter: int = 100) -> ClusterResult:
     it the same cluster, ties included. ``margin`` absorbs float rounding:
     each distance and each bound update is off by a few ulps of
     ``max|points| * sqrt(dim)``, and ``margin`` is millions of those.
-    Results equal plain Lloyd's bit for bit.
+    Centroid sums take one ``bincount`` per column. Results equal plain
+    Lloyd's bit for bit.
     """
     points = np.asarray(series, dtype=np.float64)
     if points.ndim != 2:
@@ -90,6 +112,7 @@ def kmeans(series, k: int, seed: int = 0, max_iter: int = 100) -> ClusterResult:
 
     rng = np.random.default_rng(seed)
     centroids = _seed_centroids(points, k, rng)
+    columns = np.ascontiguousarray(points.T)
     margin = 1e-9 * (1.0 + max(points.max(), -points.min())) * np.sqrt(points.shape[1])
     upper = np.full(n, np.inf)
     lower = np.zeros(n)
@@ -101,7 +124,8 @@ def kmeans(series, k: int, seed: int = 0, max_iter: int = 100) -> ClusterResult:
         nearest = distances.argmin(axis=1)
         new_assignments = assignments.copy()
         new_assignments[rows] = nearest
-        if np.bincount(new_assignments, minlength=k).all():
+        counts = np.bincount(new_assignments, minlength=k)
+        if counts.all():
             # exact bounds for the recomputed rows: own distance and runner-up
             picked = (np.arange(rows.size), nearest)
             own = distances[picked]
@@ -110,9 +134,8 @@ def kmeans(series, k: int, seed: int = 0, max_iter: int = 100) -> ClusterResult:
             upper[rows] = np.sqrt(own, out=own)
             lower[rows] = np.sqrt(runner_up, out=runner_up)
 
-            previous = centroids.copy()
-            for cluster in range(k):
-                centroids[cluster] = points[new_assignments == cluster].mean(axis=0)
+            previous = centroids
+            centroids = _centroid_means(points, columns, new_assignments, counts)
             shifts = np.linalg.norm(centroids - previous, axis=1)
             upper += shifts[new_assignments]
             lower -= shifts.max()

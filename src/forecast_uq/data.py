@@ -19,6 +19,7 @@ on.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -223,33 +224,49 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
-def _pattern(family: str, amplitude: float, n_steps: int, rng: np.random.Generator) -> np.ndarray:
-    """Deterministic shape of one series over steps 1..n_steps."""
+def _shape_draws(family: str, n_steps: int, rng: np.random.Generator):
+    """What one series' pattern draws from ``rng`` after its amplitude."""
+    if family == "periodic":
+        return rng.integers(0, 12)  # phase
+    if family == "spikes":
+        return rng.random(n_steps), rng.uniform(2.0, 4.0, size=n_steps)  # where, and how high
+    if family == "trend":
+        return rng.uniform(-1.0, 1.0)  # slope per amplitude
+    return None
+
+
+def _patterns(family: str, amplitude: np.ndarray, draws: list, n_steps: int) -> np.ndarray:
+    """The deterministic shapes over steps 1..n_steps of one family's series.
+
+    ``amplitude`` is (count, 1) and ``draws`` holds each series'
+    ``_shape_draws``. Every element takes the float operations, in the
+    order, that computing one series alone would.
+    """
     t = np.arange(1, n_steps + 1, dtype=np.float64)
     if family == "periodic":
-        phase = rng.integers(0, 12)
-        return amplitude + 0.5 * amplitude * np.sin(2.0 * np.pi * (t + phase) / 12.0)
+        # one row per phase, each computed as for a single series
+        waves = np.stack([np.sin(2.0 * np.pi * (t + phase) / 12.0) for phase in range(12)])
+        return amplitude + 0.5 * amplitude * waves[np.array(draws)]
     if family == "spikes":
-        spikes = rng.random(n_steps) < 0.1
-        heights = amplitude * rng.uniform(2.0, 4.0, size=n_steps)
-        return amplitude + np.where(spikes, heights, 0.0)
+        spikes, heights = np.array(draws).swapaxes(0, 1)
+        return amplitude + np.where(spikes < 0.1, amplitude * heights, 0.0)
     if family == "trend":
-        slope = amplitude * rng.uniform(-1.0, 1.0) / n_steps
+        slope = amplitude * np.array(draws)[:, None] / n_steps
         return amplitude + slope * t
-    if family == "noise":
-        return np.full(n_steps, amplitude)
-    raise ValueError(f"unknown family {family!r}")
+    return amplitude  # flat, broadcast over the steps
 
 
-def _noise_scale(config: GeneratorConfig, amplitude: float, rng: np.random.Generator) -> float:
+def _noise_scales(config: GeneratorConfig, amplitude: np.ndarray, uniform_draws: np.ndarray) -> np.ndarray:
+    """Each series' Laplace scale; ``uniform_draws`` holds the uniform law's draws."""
     noise = config.noise
     if noise["law"] == "constant":
-        return float(noise["scale"])
+        return np.full(len(amplitude), float(noise["scale"]))
     if noise["law"] == "uniform":
-        return float(rng.uniform(noise["low"], noise["high"]))
+        return uniform_draws
     amp_lo, amp_hi = config.amplitude_range
-    frac = (amplitude - amp_lo) / (amp_hi - amp_lo)
-    return float(noise["low"] + (noise["high"] - noise["low"]) * frac)
+    # one series' scalar expression, with Python's int-to-float conversions written out
+    frac = (amplitude - float(amp_lo)) / float(amp_hi - amp_lo)
+    return float(noise["low"]) + float(noise["high"] - noise["low"]) * frac
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -344,23 +361,37 @@ def generate_synthetic(config: GeneratorConfig, seed: int | None = None) -> RawS
     ``default_rng(SeedSequence([seed, index, 0]))`` and its noise from
     ``[seed, index, 1]``. The seeds are hashed on arrays, a block of
     series at a time, and two generators are re-seeded per series rather
-    than built.
+    than built. Only the draws run per series: the pattern and noise
+    arithmetic runs on arrays, one family at a time.
     """
     base_seed = _check_seed(config.seed if seed is None else seed)
     n_steps = config.series_length + 1  # window plus the target step
-    families = [family for family in FAMILIES for _ in range(config.families.get(family, 0))]
-    z = np.empty((len(families), n_steps))
-    scales = np.empty(len(families))
+    counts = [config.families.get(family, 0) for family in FAMILIES]
+    z = np.empty((sum(counts), n_steps))
+    scales = np.empty(sum(counts))
     pattern_rng = np.random.Generator(np.random.PCG64(0))
     noise_rng = np.random.Generator(np.random.PCG64(0))
-    streams = zip(_pcg64_states(base_seed, len(families), 0), _pcg64_states(base_seed, len(families), 1))
-    for index, (family, (pattern_state, noise_state)) in enumerate(zip(families, streams)):
-        pattern_rng.bit_generator.state = pattern_state
-        noise_rng.bit_generator.state = noise_state
-        amplitude = float(pattern_rng.uniform(*config.amplitude_range))
-        pattern = _pattern(family, amplitude, n_steps, pattern_rng)
-        scales[index] = _noise_scale(config, amplitude, noise_rng)
-        z[index] = pattern + scales[index] * noise_rng.laplace(0.0, 1.0, size=n_steps)
+    streams = zip(_pcg64_states(base_seed, sum(counts), 0), _pcg64_states(base_seed, sum(counts), 1))
+    uniform = config.noise["law"] == "uniform"
+    start = 0
+    for family, count in zip(FAMILIES, counts):
+        if not count:
+            continue
+        amplitude, uniform_draws = np.empty(count), np.empty(count)
+        laplace = np.empty((count, n_steps))
+        shape_draws = []
+        for i, (pattern_state, noise_state) in enumerate(itertools.islice(streams, count)):
+            pattern_rng.bit_generator.state = pattern_state
+            noise_rng.bit_generator.state = noise_state
+            amplitude[i] = pattern_rng.uniform(*config.amplitude_range)
+            shape_draws.append(_shape_draws(family, n_steps, pattern_rng))
+            if uniform:
+                uniform_draws[i] = noise_rng.uniform(config.noise["low"], config.noise["high"])
+            laplace[i] = noise_rng.laplace(0.0, 1.0, size=n_steps)
+        rows = slice(start, start + count)
+        scales[rows] = _noise_scales(config, amplitude, uniform_draws)
+        z[rows] = _patterns(family, amplitude[:, None], shape_draws, n_steps) + scales[rows, None] * laplace
+        start += count
     return RawSeries(values=z[:, :-1], target=z[:, -1], true_scale=scales)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import itertools
 import json
 import math
 import sys
@@ -39,11 +40,52 @@ def load_json(path, cls):
     return from_document(cls, raw, str(path))
 
 
+# bytes read at a time when counting a CSV file's lines
+_COUNT_BLOCK = 1 << 20
+
+
 def load_csv(path, rows: str) -> tuple[list[str], np.ndarray]:
     """The header cells and an (n, columns) float array of the CSV file at ``path``.
 
     ``rows`` names the data rows in the message for a file that has none.
     """
+    parsed = _load_whole_file(path)
+    return parsed if parsed is not None else _scan_lines(path, rows)
+
+
+def _load_whole_file(path) -> tuple[list[str], np.ndarray] | None:
+    """``load_csv``'s result from one ``np.loadtxt`` over the open file, or None.
+
+    loadtxt skips blank lines and needs one cell count on every row, so an
+    array with the header's column count and one row per data line is the
+    array ``_scan_lines`` would return. Anything else is left to the scan
+    (None): a decode or parse error, no data line, a blank first data line
+    (loadtxt would warn of no data), or a carriage return, where the text
+    reader splits lines that the newline count misses.
+    """
+    newlines, last, carriage_return = 0, b"", False
+    with open(path, "rb") as fh:
+        while block := fh.read(_COUNT_BLOCK):
+            newlines += block.count(b"\n")
+            carriage_return = carriage_return or b"\r" in block
+            last = block[-1:]
+    data_lines = newlines + (last not in (b"", b"\n")) - 1  # the last line may lack its newline
+    if carriage_return or data_lines < 1:
+        return None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().removesuffix("\n").split(",")
+            first = fh.readline()
+            if first == "\n":
+                return None
+            data = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    return (header, data) if data.shape == (data_lines, len(header)) else None
+
+
+def _scan_lines(path, rows: str) -> tuple[list[str], np.ndarray]:
+    """``load_csv`` line by line: the array, or the message that names the file and line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")

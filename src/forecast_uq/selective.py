@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .documents import load_csv
 
@@ -148,6 +147,8 @@ def error_score_correlation(records: PredictionRecords):
     (abs_error, score) rows for external plotting. Rho is NaN when
     either side is constant (ranks undefined).
     """
+    from scipy import stats  # here, not at module level: importing scipy.stats takes about 1 s
+
     if len(records) < 3:
         raise ValueError("need at least 3 records for a rank correlation")
     errors, scores = records.abs_error, records.score

@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import forecast_uq
 from forecast_uq import cli
 from forecast_uq.cli import OUT_ENV_VAR, main
 from forecast_uq.data import read_series_csv
@@ -348,6 +354,23 @@ class TestBooleansAreNotNumbers:
         assert main(argv) == 1
         assert capsys.readouterr().err == (f'error: {path}.parameters."forecast_tower.layer0.weights": '
                        "data must be a flat list of finite numbers\n")
+
+
+def test_scipy_is_imported_only_for_the_rank_correlation(workspace, tmp_path):
+    # scipy.stats takes about a second to import, so the package and the CLI
+    # must start without it; evaluate still imports it to report Spearman rho
+    script = (
+        "import sys, forecast_uq, forecast_uq.cli\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported at start-up'\n"
+        "sys.exit(forecast_uq.cli.main(sys.argv[1:]))\n"
+    )
+    argv = ["evaluate", "--config", str(workspace["run_config"]), "--data", str(workspace["data"]),
+            "--checkpoints", str(workspace["ckpts"]), "--out", str(tmp_path / "out")]
+    src = str(Path(forecast_uq.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert re.search(r", spearman rho -?[01]\.\d{3}$", done.stdout.splitlines()[-1]), done.stdout
 
 
 @pytest.mark.parametrize("command, config, seeds, message", [

@@ -55,7 +55,8 @@ def plain_lloyd(series, k, seed=0, max_iter=100):
 def assert_same_result(points, k, seed=0, max_iter=100):
     got = kmeans(points, k, seed=seed, max_iter=max_iter)
     want = plain_lloyd(points, k, seed=seed, max_iter=max_iter)
-    assert np.array_equal(got.centroids, want.centroids)
+    # bytes, not values: array_equal takes -0.0 for 0.0
+    assert got.centroids.tobytes() == want.centroids.tobytes()
     assert np.array_equal(got.assignments, want.assignments)
     assert got.inertia == want.inertia
     assert got.n_iter == want.n_iter
@@ -95,8 +96,10 @@ def lloyd_cases(draw):
     dim = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     points = rng.normal(size=(n, dim)) * draw(st.sampled_from([1.0, 5.0]))
-    layout = draw(st.sampled_from(["plain", "duplicates", "rounded", "offset", "diagonal"]))
-    if layout == "diagonal":
+    layout = draw(st.sampled_from(["plain", "duplicates", "rounded", "offset", "diagonal", "negative_zero"]))
+    if layout == "negative_zero":
+        points[:, rng.integers(dim)] = -0.0
+    elif layout == "diagonal":
         # integers on the line x_1 = ... = x_dim: exact distance ties whose
         # square roots round, so a pruning test without margin goes wrong
         points = np.repeat(np.round(points[:, :1] * 3.0), dim, axis=1)
@@ -230,6 +233,30 @@ class TestPrunedLloydIsExact:
         # no cluster structure: points trade clusters for dozens of iterations
         points = np.random.default_rng(seed).normal(size=(2000, 3))
         assert_same_result(points, 8, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_plain_lloyd_on_one_column(self, seed):
+        # numpy sums one contiguous column pairwise, not in row order
+        points = np.random.default_rng(seed).normal(size=(200, 1))
+        result = kmeans(points, 3, seed=seed)
+        assert np.bincount(result.assignments).min() >= 8
+        assert_same_result(points, 3, seed=seed)
+
+    def test_one_cluster_of_one_column(self):
+        # eight values whose pairwise and row-order sums differ
+        points = np.random.default_rng(1).normal(size=(8, 1))
+        assert points.sum() != np.cumsum(points)[-1]
+        assert_same_result(points, 1)
+
+    def test_column_of_negative_zeros_in_one_cluster(self):
+        # two blobs 20 apart, the second column -0.0 across the left one
+        rng = np.random.default_rng(11)
+        points = rng.normal(size=(60, 2))
+        points[:30, 0] -= 10.0
+        points[30:, 0] += 10.0
+        points[:30, 1] = -0.0
+        assert np.bincount(kmeans(points, 2, seed=0).assignments[:30], minlength=2).max() == 30
+        assert_same_result(points, 2, seed=0)
 
     def test_rounded_bounds_on_exact_ties_are_not_pruned(self):
         # collinear integer points: some point sits exactly as far from two

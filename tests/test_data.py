@@ -15,8 +15,6 @@ from forecast_uq.data import (
     Dataset,
     GeneratorConfig,
     RawSeries,
-    _noise_scale,
-    _pattern,
     _pcg64_states,
     center_scale_normalize,
     featurize,
@@ -221,6 +219,35 @@ class TestGenerator:
         assert np.all(np.isfinite(featurize(series.values)))
 
 
+def one_pattern(family: str, amplitude: float, n_steps: int, rng: np.random.Generator) -> np.ndarray:
+    """Deterministic shape of one series over steps 1..n_steps: the per-series reference."""
+    t = np.arange(1, n_steps + 1, dtype=np.float64)
+    if family == "periodic":
+        phase = rng.integers(0, 12)
+        return amplitude + 0.5 * amplitude * np.sin(2.0 * np.pi * (t + phase) / 12.0)
+    if family == "spikes":
+        spikes = rng.random(n_steps) < 0.1
+        heights = amplitude * rng.uniform(2.0, 4.0, size=n_steps)
+        return amplitude + np.where(spikes, heights, 0.0)
+    if family == "trend":
+        slope = amplitude * rng.uniform(-1.0, 1.0) / n_steps
+        return amplitude + slope * t
+    if family == "noise":
+        return np.full(n_steps, amplitude)
+    raise ValueError(f"unknown family {family!r}")
+
+
+def one_noise_scale(config: GeneratorConfig, amplitude: float, rng: np.random.Generator) -> float:
+    noise = config.noise
+    if noise["law"] == "constant":
+        return float(noise["scale"])
+    if noise["law"] == "uniform":
+        return float(rng.uniform(noise["low"], noise["high"]))
+    amp_lo, amp_hi = config.amplitude_range
+    frac = (amplitude - amp_lo) / (amp_hi - amp_lo)
+    return float(noise["low"] + (noise["high"] - noise["low"]) * frac)
+
+
 def per_series_generators(config, seed=None):
     """The generation loop that builds two generators per series, kept as the reference."""
     base_seed = config.seed if seed is None else seed
@@ -232,10 +259,16 @@ def per_series_generators(config, seed=None):
         pattern_rng = np.random.default_rng(np.random.SeedSequence([base_seed, index, 0]))
         noise_rng = np.random.default_rng(np.random.SeedSequence([base_seed, index, 1]))
         amplitude = float(pattern_rng.uniform(*config.amplitude_range))
-        pattern = _pattern(family, amplitude, n_steps, pattern_rng)
-        scales[index] = _noise_scale(config, amplitude, noise_rng)
+        pattern = one_pattern(family, amplitude, n_steps, pattern_rng)
+        scales[index] = one_noise_scale(config, amplitude, noise_rng)
         z[index] = pattern + scales[index] * noise_rng.laplace(0.0, 1.0, size=n_steps)
     return RawSeries(values=z[:, :-1], target=z[:, -1], true_scale=scales)
+
+
+def assert_same_series(got, want):
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.target.tobytes() == want.target.tobytes()
+    assert got.true_scale.tobytes() == want.true_scale.tobytes()
 
 
 NOISE = {
@@ -259,9 +292,27 @@ class TestStreamsEqualPerSeriesGenerators:
         else:
             config = small_config(families=families, noise=NOISE[law], seed=base_seed)
             got, want = generate_synthetic(config), per_series_generators(config)
-        assert np.array_equal(got.values, want.values)
-        assert np.array_equal(got.target, want.target)
-        assert np.array_equal(got.true_scale, want.true_scale)
+        assert_same_series(got, want)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("law", NOISE_LAWS)
+    @pytest.mark.parametrize("series_length", [2, 24])
+    def test_each_family_alone(self, family, law, series_length):
+        config = small_config(families={family: 17}, series_length=series_length, noise=NOISE[law])
+        assert_same_series(generate_synthetic(config), per_series_generators(config))
+
+    @pytest.mark.parametrize("noise", [
+        {"law": "constant", "scale": 0.0},
+        {"law": "constant", "scale": 0},
+        {"law": "constant", "scale": 3},
+        {"law": "uniform", "low": 1, "high": 9},
+        {"law": "amplitude_linear", "low": 20, "high": 1},
+        # ints a float cannot hold exactly: the conversions must round as Python's do
+        {"law": "amplitude_linear", "low": 2**53 + 1, "high": 3},
+    ])
+    def test_integer_and_zero_noise_numbers(self, noise):
+        config = small_config(noise=noise, amplitude_range=(7, 2**53 + 3))
+        assert_same_series(generate_synthetic(config), per_series_generators(config))
 
     @settings(max_examples=200, deadline=None)
     @given(base_seed=st.integers(0, 2**96), count=st.integers(1, 40), stream=st.integers(0, 1))

@@ -8,15 +8,18 @@ import re
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from forecast_uq import documents
 from forecast_uq.cli import RunConfig, main
 from forecast_uq.data import GeneratorConfig, generate_synthetic, write_series_csv
-from forecast_uq.documents import from_document, load_json
+from forecast_uq.documents import _scan_lines, from_document, load_csv, load_json
 from forecast_uq.exceptions import ConfigError
 from forecast_uq.models import ModelSpec, TrainConfig, build, save_checkpoint
+from forecast_uq.selective import ErrorKeepCurve, read_curve_csv, write_curve_csv
 
 
 def rejects(cls, raw, message):
@@ -225,6 +228,96 @@ JSON_KINDS = {
     "array": st.lists(st.integers(), max_size=3),
     "object": st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
 }
+
+
+def csv_outcome(load, path):
+    """What ``load`` makes of a CSV file: header, shape and array bytes, or the error message.
+
+    Run under warnings as errors, a warning is an outcome too: the scan
+    gives loadtxt's "no data" warning for one-column files of blank lines.
+    """
+    try:
+        header, data = load(path, "rows")
+    except (ValueError, UserWarning) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return header, data.shape, data.tobytes()
+
+
+# a little over one 1 MB counting block of valid rows
+BIG_CSV = b"a,b,c\n" + b"1.5,-2.0,3e2\n" * 90_000
+
+
+@pytest.mark.filterwarnings("error")
+class TestLoadCsv:
+    """``load_csv`` gives the line-by-line scan's array or message for every file."""
+
+    @pytest.mark.parametrize("data, want", [
+        (b"a,b,c\n1,2,3\n4,5,6\n", [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+        (b"a,b,c\n1,2,3\n4,5,6", [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),  # no final newline
+        (b"a,b,c\r\n1,2,3\r\n4,5,6\r\n", [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),  # CRLF
+        (b"a,b,c\n1,2,3\n\n4,5,6\n", "{path}, line 3: 1 cells, header has 3"),  # blank line in the middle
+        (b"a,b,c\n1,2,3\n\n", "{path}, line 3: 1 cells, header has 3"),  # blank last line
+        (b"a,b,c\n\n1,2,3\n", "{path}, line 2: 1 cells, header has 3"),  # blank first data line
+        (b"a,b,c\n\n", "{path}, line 2: 1 cells, header has 3"),  # only a blank line: loadtxt would warn
+        (b"a,b,c\n", "{path}: no rows after the header"),  # header only
+        (b"a,b,c", "{path}: no rows after the header"),
+        (b"", "{path}: no rows after the header"),
+        (b"a,b,c\n1,2,3\n4,5\n", "{path}, line 3: 2 cells, header has 3"),  # short last line
+        (b"a,b,c\n1,2,3\n4,x,6\n", "{path}, line 3: could not convert string 'x' to float64 in column 2."),
+        (b"a,b,c\n1,2,3\r4,5,6\n\n", "{path}, line 4: 1 cells, header has 3"),  # lone CR
+        (b"a\n1\n\n2\n", [[1.0], [2.0]]),  # one column: loadtxt skips the blank line
+        (BIG_CSV[:1_100_000] + b"\xff" + BIG_CSV[1_100_001:],
+         "{path}: not UTF-8 text: invalid start byte at byte 1100000"),
+    ])
+    def test_matches_the_line_scan(self, tmp_path, data, want):
+        path = tmp_path / "table.csv"
+        path.write_bytes(data)
+        got = csv_outcome(load_csv, path)
+        assert got == csv_outcome(_scan_lines, path)
+        if isinstance(want, str):
+            assert got == "ValueError: " + want.format(path=path)
+        else:
+            assert got[2] == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("data, rows", [
+        (b"a,b,c\n1.5,-2.0,3e2\n", 1),
+        (b"a,b,c\n1.5,-2.0,3e2", 1),
+        (BIG_CSV, 90_000),
+    ])
+    def test_well_formed_files_skip_the_line_scan(self, tmp_path, monkeypatch, data, rows):
+        monkeypatch.setattr(documents, "_scan_lines", None)
+        path = tmp_path / "table.csv"
+        path.write_bytes(data)
+        header, got = load_csv(path, "rows")
+        assert header == ["a", "b", "c"]
+        assert got.tobytes() == np.tile([1.5, -2.0, 300.0], (rows, 1)).tobytes()
+
+    def test_curve_round_trip(self, tmp_path):
+        curve = ErrorKeepCurve(
+            threshold=np.array([-np.inf, 0.1, 0.30000000000000004, 7.5]),
+            keep_fraction=np.array([0.0, 0.25, 0.5, 1.0]),
+            mae=np.array([np.nan, 1e-300, 2.0 / 3.0, 1e300]),
+            n_kept=np.array([0, 1, 2, 4]),
+        )
+        path = tmp_path / "curve.csv"
+        write_curve_csv(curve, path)
+        back = read_curve_csv(path)
+        for name in ("threshold", "keep_fraction", "mae", "n_kept"):
+            assert getattr(back, name).tobytes() == getattr(curve, name).tobytes()
+        assert csv_outcome(load_csv, path) == csv_outcome(_scan_lines, path)
+
+    # no explain phase: its imports warn, which these warning filters would turn into errors
+    @settings(max_examples=300, deadline=None, phases=set(Phase) - {Phase.explain})
+    @given(header=st.sampled_from([b"a", b"a,b", b"a,b,c"]),
+           rows=st.lists(st.sampled_from([b"1,2,3", b"1.5,-2", b"7", b"", b" ", b"nan,1e999,0x1",
+                                          b"1,,3", b"\xff,1", b"\xc3\xa9", b"\x00,1", b"4,5\r6,7"]),
+                         max_size=6),
+           newline=st.sampled_from([b"\n", b"\r\n", b"\r"]),
+           last=st.booleans())
+    def test_random_files_match_the_line_scan(self, tmp_path_factory, header, rows, newline, last):
+        path = tmp_path_factory.mktemp("csv") / "table.csv"
+        path.write_bytes(newline.join([header, *rows]) + (newline if last else b""))
+        assert csv_outcome(load_csv, path) == csv_outcome(_scan_lines, path)
 
 
 def _parts(path: str) -> list:
