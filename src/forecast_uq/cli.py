@@ -30,7 +30,7 @@ from .data import (
     read_series_csv,
     write_series_csv,
 )
-from .documents import load_json
+from .documents import check_kinds, load_json
 from .exceptions import ConfigError, ShapeError, TrainingError
 from .models import (
     BACKBONES,
@@ -106,6 +106,7 @@ class RunConfig:
     std_threshold: float = DEFAULT_STD_THRESHOLD
 
     def __post_init__(self):
+        check_kinds(self)
         if self.schema_version != 1:
             raise ConfigError(f"unsupported schema_version {self.schema_version!r}")
         if not self.seeds:

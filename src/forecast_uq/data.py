@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .documents import load_csv
+from .documents import check_kinds, check_value, load_csv
 from .exceptions import ConfigError
 
 __all__ = [
@@ -164,6 +164,7 @@ class GeneratorConfig:
     schema_version: int = 1
 
     def __post_init__(self):
+        check_kinds(self)
         if self.schema_version != 1:
             raise ConfigError(f"unsupported schema_version {self.schema_version!r}")
         if not self.families:
@@ -171,11 +172,12 @@ class GeneratorConfig:
         for name, count in self.families.items():
             if name not in FAMILIES:
                 raise ConfigError(f"unknown family {name!r}, expected one of {FAMILIES}")
-            if not isinstance(count, int) or count <= 0:
+            if count <= 0:
                 raise ConfigError(f"family count must be a positive integer, got {name}={count!r}")
         if self.series_length < 2:
             raise ConfigError("series_length must be at least 2")
-        _check_seed(self.seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         lo, hi = self.amplitude_range
         if not (0.0 < lo <= hi):
             raise ConfigError("amplitude_range must satisfy 0 < low <= high")
@@ -187,12 +189,12 @@ class GeneratorConfig:
         if law not in NOISE_LAWS:
             raise ConfigError(f"unknown noise law {law!r}, expected one of {NOISE_LAWS}")
         if law == "constant":
-            keys, scale = {"law", "scale"}, _noise_number(noise, "scale")
+            keys, scale = {"law", "scale"}, check_value(float, noise.get("scale"), "noise.scale")
             if scale < 0.0:
                 raise ConfigError("constant noise needs scale >= 0")
         else:
             keys = {"law", "low", "high"}
-            lo, hi = _noise_number(noise, "low"), _noise_number(noise, "high")
+            lo, hi = (check_value(float, noise.get(key), f"noise.{key}") for key in ("low", "high"))
             if law == "uniform" and not 0.0 <= lo <= hi:
                 raise ConfigError("uniform noise needs 0 <= low <= high")
             if law == "amplitude_linear":
@@ -205,23 +207,6 @@ class GeneratorConfig:
         extra = set(noise) - keys
         if extra:
             raise ConfigError(f"unknown noise keys {sorted(extra)}")
-
-
-def _noise_number(noise: dict, key: str):
-    """``noise[key]`` if it is an int or float; booleans are not numbers."""
-    value = noise.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"noise.{key} must be a number, got {value!r}")
-    return value
-
-
-def _check_seed(seed) -> int:
-    """``seed`` if it is a non-negative integer; booleans are not seeds."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    return int(seed)
 
 
 def _shape_draws(family: str, n_steps: int, rng: np.random.Generator):
@@ -364,7 +349,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int | None = None) -> RawS
     than built. Only the draws run per series: the pattern and noise
     arithmetic runs on arrays, one family at a time.
     """
-    base_seed = _check_seed(config.seed if seed is None else seed)
+    base_seed = (config if seed is None else replace(config, seed=seed)).seed  # checks seed
     n_steps = config.series_length + 1  # window plus the target step
     counts = [config.families.get(family, 0) for family in FAMILIES]
     z = np.empty((sum(counts), n_steps))

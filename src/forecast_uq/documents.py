@@ -5,7 +5,8 @@ each value's type: bool, int, float, str, object (any value), list (any
 array), X | None, tuple[X, ...], tuple[X, Y], dict[str, X], or a nested
 dataclass or NamedTuple. ``int`` rejects booleans and floats, ``float``
 takes finite numbers only, and every failure is a ``ConfigError`` reading
-``<file>.<field path>: <reason>``. Semantic checks stay in ``__post_init__``.
+``<file>.<field path>: <reason>``. Each class calls ``check_kinds`` first
+in ``__post_init__``, so the rule holds in Python too; semantic checks follow.
 
 ``load_csv`` reads a header line and rows of numbers; every failure is a
 ``ValueError`` reading ``<file>, line <n>: <reason>``, or ``<file>: <reason>``
@@ -15,6 +16,7 @@ when no single line is at fault.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import itertools
 import json
@@ -28,6 +30,13 @@ import numpy as np
 from .exceptions import ConfigError
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+_NUMBERS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}  # bools aside
+
+_hints = functools.cache(typing.get_type_hints)  # class: {field name: type}
+
+
+class _PathError(ConfigError):
+    """A ConfigError whose message starts with a field path, which the caller extends."""
 
 
 def load_json(path, cls):
@@ -93,7 +102,8 @@ def _scan_lines(path, rows: str) -> tuple[list[str], np.ndarray]:
         raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     if lines[-1] == "":
         lines.pop()
-    if len(lines) < 2:
+    # one column of blank lines is no rows either: loadtxt would skip them and warn
+    if len(lines) < 2 or "," not in lines[0] and not any(lines[1:]):
         raise ValueError(f"{path}: no {rows} after the header")
     header = lines[0].split(",")
     for number, line in enumerate(lines[1:], start=2):
@@ -105,7 +115,8 @@ def _scan_lines(path, rows: str) -> tuple[list[str], np.ndarray]:
         # parse line by line to find the first bad one, with numpy's reason
         for number, line in enumerate(lines[1:], start=2):
             try:
-                np.loadtxt([line], delimiter=",", comments=None)
+                if line:  # loadtxt skips a blank line, and warns of no data when it is alone
+                    np.loadtxt([line], delimiter=",", comments=None)
             except ValueError as line_exc:
                 reason = str(line_exc).replace(" at row 0, column ", " in column ")
                 raise ValueError(f"{path}, line {number}: {reason}") from None
@@ -113,54 +124,63 @@ def _scan_lines(path, rows: str) -> tuple[list[str], np.ndarray]:
 
 
 def from_document(cls, raw, where: str):
-    """Build ``cls`` from the JSON object ``raw``; ``where`` prefixes error messages."""
+    """Build ``cls`` from the JSON object ``raw`` after a check of its keys; ``where`` prefixes errors."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: expected an object, got {_show(raw)}")
-    hints = typing.get_type_hints(cls)  # field name: type
-    unknown = sorted(set(raw) - set(hints))
+        raise _PathError(f"{where}: expected an object, got {_show(raw)}")
+    unknown = sorted(set(raw) - set(_hints(cls)))
     if unknown:
-        raise ConfigError(f"{where}.{_key(unknown[0])}: unknown key")
+        raise _PathError(f"{where}.{_key(unknown[0])}: unknown key")
     for param in inspect.signature(cls).parameters.values():
         if param.default is param.empty and param.name not in raw:
-            raise ConfigError(f"{where}.{param.name}: missing")
-    kwargs = {name: _convert(hints[name], value, f"{where}.{name}") for name, value in raw.items()}
+            raise _PathError(f"{where}.{param.name}: missing")
     try:
-        return cls(**kwargs)
-    except ValueError as exc:  # a ConfigError from __post_init__, or numpy's
-        raise ConfigError(f"{where}: {exc}") from None
+        return cls(**raw)
+    except ValueError as exc:  # check_kinds' (led by a field path), a semantic check's or numpy's
+        raise _PathError(f"{where}{'.' if isinstance(exc, _PathError) else ': '}{exc}") from None
 
 
-def _convert(tp, value, where: str):
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{where}: expected a finite number, got {_show(value)}")
+def check_kinds(obj) -> None:
+    """Hold each field of the dataclass ``obj`` to its type, storing what ``check_value`` returns."""
+    for name, tp in _hints(type(obj)).items():
+        object.__setattr__(obj, name, check_value(tp, getattr(obj, name), name))
+
+
+def check_value(tp, value, where: str):
+    """``value`` as a field of type ``tp`` stores it; a ``ConfigError`` starts with ``where``."""
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        raise _PathError(f"{where}: expected a finite number, got {_show(value)}")
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if dataclasses.is_dataclass(tp) or hasattr(tp, "_fields"):  # a dataclass or a NamedTuple
-        return from_document(tp, value, where)
+        if isinstance(value, dict):
+            value = from_document(tp, value, where)
+        elif not isinstance(value, tp):
+            raise _PathError(f"{where}: expected an object, got {_show(value)}")
+        if not dataclasses.is_dataclass(tp):  # a dataclass checked itself when built
+            for name, item in _hints(tp).items():
+                check_value(item, getattr(value, name), f"{where}.{name}")
+        return value
     if origin in (typing.Union, types.UnionType):  # X | None
         (arm,) = [arm for arm in args if arm is not type(None)]
-        return None if value is None else _convert(arm, value, where)
+        return None if value is None else check_value(arm, value, where)
     if tp is object:
         return value
     if tp in _KINDS:
-        number = tp is float and isinstance(value, (int, float))
-        if (number or isinstance(value, tp)) and (tp is bool or not isinstance(value, bool)):
-            if not number:
-                return value
-            if abs(value) <= sys.float_info.max:  # an int a float can hold
-                return float(value)
-        raise ConfigError(f"{where}: expected {_KINDS[tp]}, got {_show(value)}")
+        if isinstance(value, _NUMBERS.get(tp, tp)) and (tp is bool or not isinstance(value, bool)):
+            if tp is not float or abs(value) <= sys.float_info.max:  # an int a float can hold
+                return tp(value)
+        raise _PathError(f"{where}: expected {_KINDS[tp]}, got {_show(value)}")
     if origin is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(f"{where}: expected an object, got {_show(value)}")
-        return {k: _convert(args[1], v, f"{where}.{_key(k)}") for k, v in value.items()}
+        if not isinstance(value, dict) or not all(isinstance(k, str) for k in value):
+            raise _PathError(f"{where}: expected an object, got {_show(value)}")
+        return {k: check_value(args[1], v, f"{where}.{_key(k)}") for k, v in value.items()}
     if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{where}: expected an array, got {_show(value)}")
+        raise _PathError(f"{where}: expected an array, got {_show(value)}")
     if tp is list:
         return value
     if args[-1] is not Ellipsis and len(args) != len(value):
-        raise ConfigError(f"{where}: expected {len(args)} items, got {len(value)}")
+        raise _PathError(f"{where}: expected {len(args)} items, got {len(value)}")
     items = args[:1] * len(value) if args[-1] is Ellipsis else args
-    return tuple(_convert(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+    return tuple(check_value(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
 
 
 def _key(key: str) -> str:
@@ -169,6 +189,9 @@ def _key(key: str) -> str:
 
 
 def _show(value) -> str:
-    """The JSON text of ``value``, shortened to fit an error line."""
-    text = json.dumps(value)  # NaN and Infinity print as in the file
+    """The JSON text of ``value``, or its repr, shortened to fit an error line."""
+    try:
+        text = json.dumps(value)  # NaN and Infinity print as in the file
+    except TypeError:  # no JSON value: a numpy scalar, a dict with tuple keys
+        text = repr(value)
     return text if len(text) <= 40 else text[:37] + "..."

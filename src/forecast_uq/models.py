@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset, split
-from .documents import load_json
+from .documents import check_kinds, load_json
 from .exceptions import ConfigError, ShapeError, TrainingError
 from .losses import DEFAULT_SCALE_FLOOR, elu_plus_one, laplace_nll, mae_loss
 from .nn import Adam, DenseLayer, GradientTape, LstmCell, Tensor, concat, dense_chain
@@ -77,7 +77,7 @@ class ModelSpec:
     dropout_p: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
+        check_kinds(self)
         if self.backbone not in BACKBONES:
             raise ConfigError(f"unknown backbone {self.backbone!r}")
         if self.uncertainty not in UNCERTAINTIES:
@@ -130,6 +130,7 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
+        check_kinds(self)
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be at least 1")
         if self.patience < 1:
@@ -141,7 +142,7 @@ class TrainConfig:
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         for name in ("learning_rate", "eps"):
-            if not getattr(self, name) > 0.0:  # also rejects NaN
+            if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
@@ -155,11 +156,6 @@ def _dropout_mask(
     if p <= 0.0:
         return None
     return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
-
-
-def _dropout(h: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
-    mask = _dropout_mask(h.shape, p, rng)
-    return h if mask is None else h * Tensor(mask)
 
 
 class _DenseTower:
@@ -232,9 +228,13 @@ class _LstmTower:
 
     def tail(self, z: Tensor, x: np.ndarray, dropout_p: float = 0.0, rng=None) -> Tensor:
         """The rest of ``forward`` from trunk output ``z``: masks before and after the head."""
-        h = _dropout(z, dropout_p, rng)
-        a = self.head.forward(concat([h, Tensor(x[:, self.input_dim - 2 :])], axis=1))
-        return self.out.forward(_dropout(a, dropout_p, rng))
+        # the masks are drawn in a layer-by-layer pass's order; (mean, std) pass the first unscaled
+        before = _dropout_mask(z.shape, dropout_p, rng)
+        after = _dropout_mask((len(x), self.head.weights.shape[0]), dropout_p, rng)
+        if before is not None:
+            before = np.hstack([before, np.ones((len(x), 2))])
+        h = concat([z, Tensor(x[:, self.input_dim - 2 :])], axis=1)
+        return dense_chain(h, [self.head, self.out], [before, after])
 
     def parameters(self) -> dict[str, Tensor]:
         named = {}
@@ -458,6 +458,7 @@ class _SavedParameter:
     data: list
 
     def __post_init__(self):
+        check_kinds(self)
         data = np.asarray(self.data)  # the loader adds the path to a ValueError
         # numpy reads [0.5, true] as [0.5, 1.0], so booleans are looked for in the list
         numeric = data.dtype.kind in "iuf" and bool not in map(type, self.data)
@@ -475,6 +476,9 @@ class _Checkpoint:
     parameters: dict[str, _SavedParameter]
     rng_seed: int
     training_config: TrainConfig | None
+
+    def __post_init__(self):
+        check_kinds(self)
 
 
 def save_checkpoint(model: Model, path, training_config: TrainConfig | None = None) -> None:

@@ -25,16 +25,6 @@ from .tensor import Tensor, _record_op, affine, as_tensor, concat, will_record
 ACTIVATIONS = ("relu", "tanh", "identity")
 
 
-def _apply_activation(t: Tensor, activation: str) -> Tensor:
-    if activation == "identity":
-        return t
-    if activation == "relu":
-        return t.relu()
-    if activation == "tanh":
-        return t.tanh()
-    raise ValueError(f"unknown activation {activation!r}")
-
-
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (in_dim + out_dim))
     return rng.uniform(-limit, limit, size=(out_dim, in_dim))
@@ -73,10 +63,7 @@ class DenseLayer:
 
     def forward(self, x) -> Tensor:
         """activation(x @ weights.T + bias) for (batch, in_dim) rows."""
-        x = as_tensor(x)
-        if x.shape[1:] != (self.in_dim,):
-            raise ShapeError(f"dense layer expects (batch, {self.in_dim}) rows, got {x.shape}")
-        return _apply_activation(affine(x, self.weights, self.bias), self.activation)
+        return dense_chain(x, (self,), (None,))
 
     def parameters(self) -> dict[str, Tensor]:
         return {"weights": self.weights, "bias": self.bias}
@@ -86,9 +73,9 @@ def dense_chain(x, layers, masks) -> Tensor:
     """A chain of dense layers as one tape op: ``h = act((h * mask) @ w.T + b)`` per layer.
 
     ``masks`` holds one array or ``None`` per layer; a mask multiplies the
-    layer's input (inverted dropout). The forward does a ``DenseLayer.forward``
-    and dropout-multiply chain's float operations, so values and gradients
-    equal that chain's bit for bit. Only a call that goes on a tape keeps
+    layer's input (inverted dropout). The forward does the float operations
+    of a chain of ``affine``, activation and dropout-multiply tape ops, so
+    values and gradients equal that chain's bit for bit. Only a call that goes on a tape keeps
     each layer's input and output; its vector-Jacobian product replays the
     chain's VJPs in reverse and skips the input gradient when ``x`` is
     untracked.

@@ -306,6 +306,27 @@ class TestMalformedCsv:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith(f"error: {bad}, {message}")
 
+    @pytest.mark.filterwarnings("error")  # a warning printed before the error line fails too
+    @pytest.mark.parametrize("text, message", [
+        ("value_1,value_2,target,true_scale\n", ": no series rows after the header"),
+        ("target\n\n", ": no series rows after the header"),
+        ("value_1,value_2,target,true_scale\n1.0,2.0,3.0,1.0\n\n2.0,1.0,0.5,1.0\n",
+         ", line 3: 1 cells, header has 4"),
+        ("value_1,value_2,target,true_scale\n1.0,nan,3.0,1.0\n", ", line 2: non-finite cell"),
+    ], ids=["header-only", "one-column-blank", "blank-middle-line", "nan-cell"])
+    @pytest.mark.parametrize("command", ["train", "evaluate", "cluster"])
+    def test_whole_file_gives_exactly_one_error_line(self, workspace, tmp_path, capsys, command,
+                                                     text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        argv = [command, "--data", str(bad), "--out", str(tmp_path / "out")]
+        if command == "evaluate":
+            argv += ["--checkpoints", str(workspace["ckpts"])]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}{message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_undecodable_bytes_name_the_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"value_1,value_2,target,true_scale\n1.0,2.0,3.0,1.0\n1.0,\xff2.0,3.0,1.0\n")
@@ -338,7 +359,7 @@ class TestBooleansAreNotNumbers:
         assert main(["generate", "--config", str(config), "--out", str(tmp_path / "d.csv")]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert err.startswith(f"error: {config}: {field} must be a number, got ")
+        assert err.startswith(f"error: {config}.{field}: expected a finite number, got ")
         assert not (tmp_path / "d.csv").exists()
 
     def test_evaluate(self, workspace, tmp_path, capsys):

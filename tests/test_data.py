@@ -360,10 +360,11 @@ class TestGeneratorConfig:
             small_config(noise={"law": "constant", "scale": 1.0, "typo": 2})
 
     @pytest.mark.parametrize("noise, message", [
-        ({"law": "constant", "scale": True}, "noise.scale must be a number, got True"),
-        ({"law": "uniform", "low": False, "high": 2.0}, "noise.low must be a number, got False"),
-        ({"law": "amplitude_linear", "low": 1.0, "high": True}, "noise.high must be a number, got True"),
-        ({"law": "constant"}, "noise.scale must be a number, got None"),
+        ({"law": "constant", "scale": True}, "noise.scale: expected a finite number, got true"),
+        ({"law": "uniform", "low": False, "high": 2.0}, "noise.low: expected a finite number, got false"),
+        ({"law": "amplitude_linear", "low": 1.0, "high": True},
+         "noise.high: expected a finite number, got true"),
+        ({"law": "constant"}, "noise.scale: expected a finite number, got null"),
     ])
     def test_noise_numbers_exclude_booleans(self, noise, message):
         with pytest.raises(ConfigError) as info:
@@ -372,9 +373,9 @@ class TestGeneratorConfig:
 
     @pytest.mark.parametrize("seed, message", [
         (-1, "seed must be non-negative, got -1"),
-        (1.5, "seed must be an integer, got 1.5"),
-        (True, "seed must be an integer, got True"),
-        ("3", "seed must be an integer, got '3'"),
+        (1.5, "seed: expected an integer, got 1.5"),
+        (True, "seed: expected an integer, got true"),
+        ("3", 'seed: expected an integer, got "3"'),
     ])
     def test_bad_seed_rejected(self, seed, message):
         with pytest.raises(ConfigError) as info:

@@ -2,9 +2,12 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import re
+import types
+import typing
 from dataclasses import asdict
 from pathlib import Path
 
@@ -14,11 +17,18 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from forecast_uq import documents
-from forecast_uq.cli import RunConfig, main
+from forecast_uq.cli import ModelPair, RunConfig, main
 from forecast_uq.data import GeneratorConfig, generate_synthetic, write_series_csv
-from forecast_uq.documents import _scan_lines, from_document, load_csv, load_json
+from forecast_uq.documents import _key, _scan_lines, from_document, load_csv, load_json
 from forecast_uq.exceptions import ConfigError
-from forecast_uq.models import ModelSpec, TrainConfig, build, save_checkpoint
+from forecast_uq.models import (
+    ModelSpec,
+    TrainConfig,
+    _Checkpoint,
+    _SavedParameter,
+    build,
+    save_checkpoint,
+)
 from forecast_uq.selective import ErrorKeepCurve, read_curve_csv, write_curve_csv
 
 
@@ -73,9 +83,13 @@ class TestFieldTypes:
                 "('periodic', 'spikes', 'trend', 'noise')")
 
     def test_std_threshold_must_be_positive_and_finite(self):
-        for bad in (0.0, -1.0, float("nan"), float("inf")):
+        for bad in (0.0, -1.0):
             with pytest.raises(ConfigError, match="std_threshold must be positive and finite"):
                 RunConfig(std_threshold=bad)
+        for bad, shown in ((float("nan"), "NaN"), (float("inf"), "Infinity")):
+            with pytest.raises(ConfigError) as info:
+                RunConfig(std_threshold=bad)
+            assert str(info.value) == f"std_threshold: expected a finite number, got {shown}"
         assert RunConfig(std_threshold=0.5).std_threshold == 0.5
 
     def test_model_pairs_are_objects_that_unpack_as_pairs(self):
@@ -102,6 +116,78 @@ class TestFieldTypes:
         assert from_document(ModelSpec, asdict(spec), "config") == spec
         config = TrainConfig(seed=3, learning_rate=0.5)
         assert from_document(TrainConfig, json.loads(json.dumps(asdict(config))), "config") == config
+
+
+# -- the same kind rule for configs built in Python -------------------------------
+
+# a valid constructor call for every class that load_json can build
+VALID = {
+    RunConfig: {},
+    ModelPair: {"backbone": "dense", "uncertainty": "point"},
+    TrainConfig: {},
+    GeneratorConfig: {"families": {"trend": 1}},
+    ModelSpec: {"backbone": "dense", "uncertainty": "point", "input_dim": 3, "layer_sizes": (2,)},
+    _Checkpoint: {"schema_version": 1, "architecture": ModelSpec("dense", "point", 3, (2,)),
+                  "parameters": {}, "rng_seed": 0, "training_config": None},
+    _SavedParameter: {"shape": (1,), "data": [0.0]},
+}
+# a NamedTuple checks nothing when built; the class holding it does
+HOLDERS = {ModelPair: ("models[0].", lambda pair: RunConfig(models=(pair,)))}
+
+
+def is_class(tp) -> bool:
+    return dataclasses.is_dataclass(tp) or hasattr(tp, "_fields")
+
+
+def loadable_classes() -> list:
+    """Every class that load_json builds, found through the field types of the three documents."""
+    found, todo = [], [RunConfig, GeneratorConfig, _Checkpoint]
+    while todo:
+        tp = todo.pop()
+        todo += typing.get_args(tp)  # the parts of X | None, tuple[X, ...] and dict[str, X]
+        if is_class(tp) and tp not in found:
+            found.append(tp)
+            todo += typing.get_type_hints(tp).values()
+    return found
+
+
+@pytest.mark.parametrize("cls", loadable_classes(), ids=lambda cls: cls.__name__)
+def test_a_wrong_kind_built_in_python_names_the_field(cls):
+    # a field added without a kind rule, or a class that skips check_kinds, fails here
+    assert cls in VALID, f"add a valid {cls.__name__} call to VALID"
+    place, hold = HOLDERS.get(cls, ("", lambda obj: obj))
+    hold(cls(**VALID[cls]))
+    for name, tp in typing.get_type_hints(cls).items():
+        with pytest.raises(ConfigError) as info:
+            hold(cls(**{**VALID[cls], name: 1 if tp is str else "1"}))
+        assert str(info.value).startswith(f"{place}{name}: expected "), str(info.value)
+
+
+def test_numpy_integers_are_stored_as_python_ints():
+    config = GeneratorConfig(families={"trend": np.int64(3)}, seed=np.int64(3))
+    assert config == GeneratorConfig(families={"trend": 3}, seed=3)
+    assert type(config.families["trend"]) is int and type(config.seed) is int
+    spec = ModelSpec("dense", "point", np.int32(3), (np.int64(2),))
+    assert type(spec.input_dim) is int and type(spec.layer_sizes[0]) is int
+
+
+def test_python_values_are_stored_as_a_document_stores_them():
+    doc = {"train": {"learning_rate": 1}, "seeds": [3, 4],
+           "models": [{"backbone": "lstm", "uncertainty": "point"}]}
+    run = RunConfig(**copy.deepcopy(doc))
+    assert run == from_document(RunConfig, doc, "config")
+    assert run.train == TrainConfig(learning_rate=1.0) and run.seeds == (3, 4)
+    assert run.models == (ModelPair("lstm", "point"),) and type(run.models[0]) is ModelPair
+
+
+def test_an_integer_for_a_float_field_writes_the_same_checkpoint(tmp_path):
+    model = build(ModelSpec("dense", "point", 3, (2,)), seed=0)
+    configs = [TrainConfig(learning_rate=1), TrainConfig(learning_rate=1.0),
+               from_document(TrainConfig, {"learning_rate": 1}, "config")]
+    for i, config in enumerate(configs):
+        assert type(config.learning_rate) is float
+        save_checkpoint(model, tmp_path / f"{i}.json", config)
+    assert len({(tmp_path / f"{i}.json").read_bytes() for i in range(3)}) == 1
 
 
 class TestLoadJson:
@@ -233,12 +319,11 @@ JSON_KINDS = {
 def csv_outcome(load, path):
     """What ``load`` makes of a CSV file: header, shape and array bytes, or the error message.
 
-    Run under warnings as errors, a warning is an outcome too: the scan
-    gives loadtxt's "no data" warning for one-column files of blank lines.
+    The tests run it under warnings as errors, so a warning fails them.
     """
     try:
         header, data = load(path, "rows")
-    except (ValueError, UserWarning) as exc:
+    except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
     return header, data.shape, data.tobytes()
 
@@ -266,6 +351,8 @@ class TestLoadCsv:
         (b"a,b,c\n1,2,3\n4,x,6\n", "{path}, line 3: could not convert string 'x' to float64 in column 2."),
         (b"a,b,c\n1,2,3\r4,5,6\n\n", "{path}, line 4: 1 cells, header has 3"),  # lone CR
         (b"a\n1\n\n2\n", [[1.0], [2.0]]),  # one column: loadtxt skips the blank line
+        (b"a\n\n", "{path}: no rows after the header"),  # one column, every data line blank
+        (b"a\n\n\n\n", "{path}: no rows after the header"),
         (BIG_CSV[:1_100_000] + b"\xff" + BIG_CSV[1_100_001:],
          "{path}: not UTF-8 text: invalid start byte at byte 1100000"),
     ])
@@ -408,6 +495,69 @@ def test_probe_messages(cli_files, name, text, message):
     code, err = _run_cli(cli_files, name, text)
     assert code == 1
     assert err == f"error: {cli_files[0][name].parent}/{message}\n"
+
+
+class Refused(Exception):
+    """A constructor's ValueError, with the field path of the object it was building."""
+
+
+def build_in_python(cls, raw: dict, place: str = ""):
+    """``cls`` built by its constructor from decoded JSON, as a Python caller would build it.
+
+    Arrays at tuple fields become tuples, and objects at class fields are
+    built first. The first constructor to refuse raises ``Refused(place, message)``.
+    """
+    hints = typing.get_type_hints(cls)
+    kwargs = {k: decoded(hints[k], v, f"{place}.{k}" if place else k) for k, v in raw.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise Refused(place, str(exc)) from None
+
+
+def decoded(tp, value, place: str):
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if is_class(tp) and isinstance(value, dict):
+        return build_in_python(tp, value, place)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        return decoded(args[0], value, place)
+    if origin is dict and isinstance(value, dict):
+        return {k: decoded(args[1], v, f"{place}.{_key(k)}") for k, v in value.items()}
+    if origin is tuple and isinstance(value, list):
+        return tuple(decoded(args[0], v, f"{place}[{i}]") for i, v in enumerate(value))
+    return value
+
+
+CLASSES = {"run": RunConfig, "generator": GeneratorConfig, "checkpoint": _Checkpoint}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=malformed().filter(lambda case: case[1] == "set"))
+@example(case=("run", "set", "train/max_epochs", 2.5))
+@example(case=("run", "set", "train/learning_rate", "1"))
+@example(case=("run", "set", "desk", 1))
+@example(case=("run", "set", "seeds", [True]))
+@example(case=("run", "set", "models/0/backbone", 3))
+@example(case=("run", "set", "models/0", ["dense", "point"]))
+@example(case=("run", "set", "std_threshold", float("inf")))
+@example(case=("run", "set", "train/seed", 5))
+@example(case=("generator", "set", "families/trend", True))
+@example(case=("generator", "set", "noise/scale", float("nan")))
+@example(case=("generator", "set", "noise/scale", [1]))
+@example(case=("checkpoint", "set", "architecture/layer_sizes/0", 2.7))
+@example(case=("checkpoint", "set", f"{BIAS}/data/0", float("nan")))
+@example(case=("checkpoint", "set", f"{BIAS}/data/0", [1, 2]))
+@example(case=("checkpoint", "set", "training_config", 3))
+def test_a_wrong_value_built_in_python_fails_as_in_json(cli_files, case):
+    name, _, path, value = case
+    text = _render(cli_files[2][name], "set", path, value)
+    with pytest.raises(ConfigError) as info:
+        from_document(CLASSES[name], json.loads(text), "doc")
+    with pytest.raises(Refused) as refused:
+        build_in_python(CLASSES[name], json.loads(text))
+    place, reason = refused.value.args
+    where = f"doc.{place}" if place else "doc"
+    assert str(info.value) in (f"{where}.{reason}", f"{where}: {reason}")
 
 
 def test_valid_bases_run(cli_files):

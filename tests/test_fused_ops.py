@@ -1,12 +1,14 @@
-"""The one-op dense towers and losses against the per-layer tape chain they replace.
+"""The one-op dense layers, towers and losses against the per-layer tape chain they replace.
 
-The reference below is the chain the models ran before: one
-``DenseLayer.forward`` per layer, a dropout multiply after each hidden
-layer and the losses as elementwise tape ops. The fused ops must give the
-same losses, gradients, trained parameters and predictions bit for bit.
+The reference below is the chain the models ran before: an ``affine`` and
+an activation op per dense layer, a dropout multiply after each hidden
+layer (and, in the LSTM tower, before the head) and the losses as
+elementwise tape ops. The fused ops must give the same losses, gradients,
+trained parameters and predictions bit for bit.
 """
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ import pytest
 from forecast_uq.exceptions import ShapeError
 from forecast_uq.losses import DEFAULT_SCALE_FLOOR, elu_plus_one, laplace_nll, mae_loss
 from forecast_uq.models import ModelSpec, _batch_loss, build, mc_dropout_predict, predict
-from forecast_uq.nn import Adam, DenseLayer, GradientTape, Tensor, dense_chain
+from forecast_uq.nn import Adam, DenseLayer, GradientTape, Tensor, affine, as_tensor, concat, dense_chain
 
 from test_tensor import check_gradient
 
@@ -30,11 +32,26 @@ def reference_dropout(h: Tensor, p: float, rng) -> Tensor:
     return h * Tensor((rng.random(h.shape) >= p).astype(np.float64) / (1.0 - p))
 
 
+def reference_dense(layer: DenseLayer, h) -> Tensor:
+    a = affine(as_tensor(h), layer.weights, layer.bias)
+    if layer.activation == "relu":
+        return a.relu()
+    return a.tanh() if layer.activation == "tanh" else a
+
+
+def reference_lstm_tail(tower, z: Tensor, x: np.ndarray, p: float = 0.0, rng=None) -> Tensor:
+    h = reference_dropout(z, p, rng)
+    a = reference_dense(tower.head, concat([h, Tensor(x[:, tower.input_dim - 2 :])], axis=1))
+    return reference_dense(tower.out, reference_dropout(a, p, rng))
+
+
 def reference_tower(tower, x: np.ndarray, p: float = 0.0, rng=None) -> Tensor:
-    h = reference_dropout(tower.hidden[0].forward(Tensor(x)), p, rng)
+    if hasattr(tower, "cells"):  # the LSTM tower: its recurrence is not part of the reference
+        return reference_lstm_tail(tower, tower.trunk(x), x, p, rng)
+    h = reference_dropout(reference_dense(tower.hidden[0], x), p, rng)
     for layer in tower.hidden[1:]:
-        h = reference_dropout(layer.forward(h), p, rng)
-    return tower.out.forward(h)
+        h = reference_dropout(reference_dense(layer, h), p, rng)
+    return reference_dense(tower.out, h)
 
 
 def reference_laplace_nll(targets: Tensor, mus: Tensor, scales: Tensor) -> Tensor:
@@ -87,7 +104,32 @@ def data(rows: int, seed: int):
 @pytest.mark.parametrize("dropout_p", [0.0, 0.5])
 @pytest.mark.parametrize("uncertainty", UNCERTAINTIES)
 def test_training_steps_match_the_layer_chain(uncertainty, dropout_p, sizes):
-    spec = ModelSpec("dense", uncertainty, 14, sizes, dropout_p=dropout_p)
+    check_training_steps(ModelSpec("dense", uncertainty, 14, sizes, dropout_p=dropout_p))
+
+
+@pytest.mark.parametrize("dropout_p", [0.0, 0.5])
+@pytest.mark.parametrize("uncertainty", UNCERTAINTIES)
+def test_lstm_tail_training_steps_match_the_layer_chain(uncertainty, dropout_p):
+    check_training_steps(ModelSpec("lstm", uncertainty, 14, (5, 4), head_size=6, dropout_p=dropout_p))
+
+
+def test_lstm_tail_is_two_records():
+    model = build(ModelSpec("lstm", "mc_dropout", 14, (5, 4), head_size=6, dropout_p=0.5), seed=3)
+    tower, (x, _) = model.forecast_tower, data(8, seed=1)
+    records = []
+    for tail in (tower.tail, partial(reference_lstm_tail, tower)):
+        with GradientTape() as tape:
+            z = tower.trunk(x)  # on the tape, so the tail's ops on z are recorded
+            before = len(tape._records)
+            out = tail(z, x, 0.5, np.random.default_rng(4))
+        records.append((len(tape._records) - before, out.data))
+    assert np.array_equal(records[0][1], records[1][1])
+    assert (records[0][0], records[1][0]) == (2, 6)  # concat and dense_chain against 6 ops
+
+
+def check_training_steps(spec: ModelSpec):
+    """Four Adam steps, validation losses and predictions of ``spec`` equal the reference's."""
+    uncertainty, dropout_p = spec.uncertainty, spec.dropout_p
     fused, ref = build(spec, seed=3), build(spec, seed=3)
     fused_params = list(fused.parameters().values())
     ref_params = list(ref.parameters().values())
@@ -142,7 +184,7 @@ def reference_chain(x: Tensor, layers, masks) -> Tensor:
     for layer, m in zip(layers, masks):
         if m is not None:
             h = h * Tensor(m)
-        h = layer.forward(h)
+        h = reference_dense(layer, h)
     return h
 
 

@@ -391,8 +391,11 @@ class TestTrain:
 
     @pytest.mark.parametrize("field", ["learning_rate", "eps"])
     def test_nan_step_size_rejected(self, field):
-        with pytest.raises(ConfigError, match=f"{field} must be positive"):
+        with pytest.raises(ConfigError) as info:
             TrainConfig(**{field: float("nan")})
+        assert str(info.value) == f"{field}: expected a finite number, got NaN"
+        with pytest.raises(ConfigError, match=f"{field} must be positive"):
+            TrainConfig(**{field: 0.0})
 
     def test_lstm_trains_and_improves(self):
         ds = tiny_dataset(200, scale=0.5)
