@@ -11,6 +11,7 @@ Output locations come from ``--out`` or, when that is omitted, the
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -31,7 +32,7 @@ from .data import (
     write_series_csv,
 )
 from .documents import check_kinds, load_json
-from .exceptions import ConfigError, ShapeError, TrainingError
+from .exceptions import ConfigError, RowError, ShapeError, TrainingError
 from .models import (
     BACKBONES,
     BASELINES,
@@ -133,6 +134,20 @@ class RunConfig:
             raise ConfigError("std_threshold must be positive and finite")
 
 
+@contextlib.contextmanager
+def _series_lines(path):
+    """Turn a ``RowError`` about the series read from ``path`` into a ValueError naming the CSV line."""
+    try:
+        yield
+    except RowError as exc:
+        raise ValueError(f"{path}, line {exc.row + 2}: {exc.reason}") from None
+
+
+def _read_dataset(path, std_threshold: float):
+    with _series_lines(path):
+        return make_dataset(read_series_csv(path), std_threshold)
+
+
 # -- generate -----------------------------------------------------------------
 
 
@@ -151,7 +166,7 @@ def _checkpoint_stem(spec: ModelSpec, seed: int) -> str:
 
 def _train_job(spec: ModelSpec, config: TrainConfig, data_path, std_threshold, out_dir) -> str:
     """One (model, seed) training run; module-level so jobs can fork."""
-    dataset = make_dataset(read_series_csv(data_path), std_threshold)
+    dataset = _read_dataset(data_path, std_threshold)
     model = build(spec, seed=config.seed)
     model, history = train(model, dataset, config)
     stem = _checkpoint_stem(spec, config.seed)
@@ -247,7 +262,7 @@ def _matrix_row(by_seed: dict[int, PredictionRecords]) -> dict[float, dict]:
 
 
 def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filter=None) -> dict:
-    dataset = make_dataset(read_series_csv(data_path), run.std_threshold)
+    dataset = _read_dataset(data_path, run.std_threshold)
     x, y = dataset.x, dataset.y
     var_scores = input_variance_score(dataset.values)
     groups = _load_checkpoints(checkpoints_dir, data_path, x.shape, seeds_filter)
@@ -306,7 +321,8 @@ def cmd_cluster(run: RunConfig, data_path, out_dir, seed: int) -> None:
             f"{data_path}: {len(series)} series, fewer than k={run.k} clusters; "
             f"set k in the run config (default {RunConfig.k})"
         )
-    normalized = center_scale_normalize(series.values, run.std_threshold)
+    with _series_lines(data_path):
+        normalized = center_scale_normalize(series.values, run.std_threshold)
     result = kmeans(normalized, run.k, seed=seed)
     os.makedirs(out_dir, exist_ok=True)
 

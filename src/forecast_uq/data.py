@@ -19,14 +19,13 @@ on.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .documents import check_kinds, check_value, load_csv
-from .exceptions import ConfigError
+from .exceptions import ConfigError, RowError
 
 __all__ = [
     "DEFAULT_STD_THRESHOLD",
@@ -113,19 +112,28 @@ def center_scale_normalize(z, std_threshold: float = DEFAULT_STD_THRESHOLD) -> n
 
     Uses the population (divide-by-T) standard deviation. Below the
     threshold a series is only centered, so near-constant series do
-    not blow up.
+    not blow up. A series whose mean or std is not finite, such as finite
+    values near 1e308 whose sum overflows, is a ``RowError`` naming it.
     """
     if not std_threshold > 0.0:  # also rejects NaN
         raise ValueError("std_threshold must be positive")
     z = np.asarray(z, dtype=np.float64)
     if z.ndim == 0 or z.shape[-1] < 2:
         raise ValueError("series needs at least 2 values")
-    std = z.std(axis=-1, keepdims=True)
-    return (z - z.mean(axis=-1, keepdims=True)) / np.where(std >= std_threshold, std, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = z.mean(axis=-1, keepdims=True)
+        std = z.std(axis=-1, keepdims=True)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        raise RowError(int(bad[0]), "mean or standard deviation is not finite")
+    return (z - mean) / np.where(std >= std_threshold, std, 1.0)
 
 
 def featurize(values, std_threshold: float = DEFAULT_STD_THRESHOLD) -> np.ndarray:
-    """Model inputs (N, T+2) of (N, T) windows: T normalized values, then raw mean, then raw std."""
+    """Model inputs (N, T+2) of (N, T) windows: T normalized values, then raw mean, then raw std.
+
+    ``center_scale_normalize`` rejects a window whose mean or std is not finite.
+    """
     values = np.asarray(values, dtype=np.float64)
     return np.column_stack([
         center_scale_normalize(values, std_threshold), values.mean(axis=1), values.std(axis=1)
@@ -209,39 +217,39 @@ class GeneratorConfig:
             raise ConfigError(f"unknown noise keys {sorted(extra)}")
 
 
-def _shape_draws(family: str, n_steps: int, rng: np.random.Generator):
-    """What one series' pattern draws from ``rng`` after its amplitude."""
+def _shape_draws(family: str, n_steps: int, lanes: _PCG64Lanes):
+    """What each lane's pattern stream draws after its amplitude."""
     if family == "periodic":
-        return rng.integers(0, 12)  # phase
+        return _integers(lanes, 12)  # phase
     if family == "spikes":
-        return rng.random(n_steps), rng.uniform(2.0, 4.0, size=n_steps)  # where, and how high
+        return lanes.doubles(n_steps), _uniform(lanes, 2.0, 4.0, n_steps)  # where, and how high
     if family == "trend":
-        return rng.uniform(-1.0, 1.0)  # slope per amplitude
+        return _uniform(lanes, -1.0, 1.0)  # slope per amplitude
     return None
 
 
-def _patterns(family: str, amplitude: np.ndarray, draws: list, n_steps: int) -> np.ndarray:
-    """The deterministic shapes over steps 1..n_steps of one family's series.
+def _patterns(family: str, amplitude: np.ndarray, draws, n_steps: int) -> np.ndarray:
+    """The deterministic shapes over steps 1..n_steps of a block of one family's series.
 
-    ``amplitude`` is (count, 1) and ``draws`` holds each series'
-    ``_shape_draws``. Every element takes the float operations, in the
-    order, that computing one series alone would.
+    ``amplitude`` is (count, 1) and ``draws`` is ``_shape_draws``'s
+    result. Every element takes the float operations, in the order, that
+    computing one series alone would.
     """
     t = np.arange(1, n_steps + 1, dtype=np.float64)
     if family == "periodic":
         # one row per phase, each computed as for a single series
         waves = np.stack([np.sin(2.0 * np.pi * (t + phase) / 12.0) for phase in range(12)])
-        return amplitude + 0.5 * amplitude * waves[np.array(draws)]
+        return amplitude + 0.5 * amplitude * waves[draws]
     if family == "spikes":
-        spikes, heights = np.array(draws).swapaxes(0, 1)
+        spikes, heights = draws
         return amplitude + np.where(spikes < 0.1, amplitude * heights, 0.0)
     if family == "trend":
-        slope = amplitude * np.array(draws)[:, None] / n_steps
+        slope = amplitude * draws[:, None] / n_steps
         return amplitude + slope * t
     return amplitude  # flat, broadcast over the steps
 
 
-def _noise_scales(config: GeneratorConfig, amplitude: np.ndarray, uniform_draws: np.ndarray) -> np.ndarray:
+def _noise_scales(config: GeneratorConfig, amplitude: np.ndarray, uniform_draws) -> np.ndarray:
     """Each series' Laplace scale; ``uniform_draws`` holds the uniform law's draws."""
     noise = config.noise
     if noise["law"] == "constant":
@@ -259,11 +267,15 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128)
+_MASK32 = (1 << 32) - 1
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128): its uint64
+# halves, and the low half's 32-bit halves for the 64x64 -> 128 product
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-# series hashed per block: wide enough for numpy, and a block's Python ints stay few
-_SEED_BLOCK = 1024
+_MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & (1 << 64) - 1)
+_MULT_LO_1, _MULT_LO_0 = np.uint64(int(_MULT_LO) >> 32), np.uint64(int(_MULT_LO) & _MASK32)
+# series drawn together: each draw is one array op per block, and the
+# block's temporaries (Python floats for the log among them) stay small
+_LANE_BLOCK = 2048
 
 
 def _seed_sequence_state(entropy: list[np.ndarray]) -> np.ndarray:
@@ -308,31 +320,124 @@ def _seed_sequence_state(entropy: list[np.ndarray]) -> np.ndarray:
     return words[0::2].astype(np.uint64) | words[1::2].astype(np.uint64) << 32
 
 
-def _pcg64_states(base_seed: int, count: int, stream: int) -> Iterator[dict]:
-    """``PCG64(SeedSequence([base_seed, index, stream])).state`` for each index < count, in order.
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """``state * PCG64_MULT + inc`` mod 2**128 on uint64 halves; uint64 products wrap.
 
-    The entropy words are those of ``base_seed`` (32-bit words, low first,
-    as SeedSequence reads an int), then ``index``, then ``stream``; each
-    index is one word, since 2**32 series could not be allocated. PCG64's
-    seeding step runs on Python ints.
+    The high word of ``lo * _MULT_LO`` comes from its four 32-bit partial products.
     """
-    base_words = []
-    value = base_seed
-    while True:
-        base_words.append(value & _MASK32)
-        value >>= 32
-        if not value:
-            break
-    for start in range(0, count, _SEED_BLOCK):
-        lanes = np.arange(start, min(start + _SEED_BLOCK, count), dtype=np.uint32)
-        entropy = [np.full_like(lanes, word) for word in base_words] + [lanes, np.full_like(lanes, stream)]
-        halves = _seed_sequence_state(entropy)
-        # pcg64_set_seed: initstate is halves 0:1, initseq halves 2:3
-        for state_hi, state_lo, seq_hi, seq_lo in zip(*halves.tolist()):
-            inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
-            state = ((inc + ((state_hi << 64) | state_lo)) * _PCG64_MULT + inc) & _MASK128
-            yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                   "has_uint32": 0, "uinteger": 0}
+    lo_0, lo_1 = lo & _MASK32, lo >> 32
+    p00, p01, p10 = lo_0 * _MULT_LO_0, lo_0 * _MULT_LO_1, lo_1 * _MULT_LO_0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = lo_1 * _MULT_LO_1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    new_lo = lo * _MULT_LO + inc_lo
+    new_hi = carry + hi * _MULT_LO + lo * _MULT_HI + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
+
+
+class _PCG64Lanes:
+    """PCG64 streams stepped together, one per lane, on uint64 arrays.
+
+    Each lane holds what numpy's PCG64 holds: the 128-bit LCG state and odd
+    increment, here as (hi, lo) uint64 halves. A draw steps the LCG and
+    returns the XSL-RR output of the new state, as ``random_raw`` does.
+    ``rows`` picks the lanes that draw (default: all), so a rare redraw
+    advances only its own lanes.
+    """
+
+    def __init__(self, hi, lo, inc_hi, inc_lo):
+        self.hi, self.lo, self.inc_hi, self.inc_lo = hi, lo, inc_hi, inc_lo
+
+    @classmethod
+    def seeded(cls, base_seed: int, index: np.ndarray, stream: int) -> _PCG64Lanes:
+        """Lane j as ``PCG64(SeedSequence([base_seed, index[j], stream]))``.
+
+        The entropy words are those of ``base_seed`` (32-bit words, low first,
+        as SeedSequence reads an int), then ``index``, then ``stream``; each
+        index is one uint32 word, since 2**32 series could not be allocated.
+        """
+        words = []
+        while True:
+            words.append(base_seed & _MASK32)
+            base_seed >>= 32
+            if not base_seed:
+                break
+        entropy = [np.full_like(index, word) for word in words] + [index, np.full_like(index, stream)]
+        init_hi, init_lo, seq_hi, seq_lo = _seed_sequence_state(entropy)
+        # pcg64_set_seed: inc = initseq << 1 | 1, then state = (inc + initstate) * M + inc
+        inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+        lo = inc_lo + init_lo
+        return cls(*_lcg_step(inc_hi + init_hi + (lo < init_lo), lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+    def next64(self, rows=None) -> np.ndarray:
+        """One 64-bit output per lane, or per lane in ``rows``."""
+        if rows is None:
+            self.hi, self.lo = hi, lo = _lcg_step(self.hi, self.lo, self.inc_hi, self.inc_lo)
+        else:
+            hi, lo = _lcg_step(self.hi[rows], self.lo[rows], self.inc_hi[rows], self.inc_lo[rows])
+            self.hi[rows], self.lo[rows] = hi, lo
+        # XSL-RR: hi ^ lo rotated right by the state's top 6 bits
+        value, rot = hi ^ lo, hi >> 58
+        return value >> rot | value << (64 - rot & 63)
+
+    def doubles(self, count: int, rows=None) -> np.ndarray:
+        """``count`` of numpy's ``next_double`` per lane, ``(next64 >> 11) * 2**-53``: (lanes, count)."""
+        out = np.empty((len(self.hi) if rows is None else len(rows), count))
+        for j in range(count):
+            out[:, j] = (self.next64(rows) >> 11) * 2.0**-53
+        return out
+
+
+def _uniform(lanes: _PCG64Lanes, low, high, count: int | None = None) -> np.ndarray:
+    """``uniform(low, high)`` per lane, or ``size=count`` of them: ``low + (high - low) * u``."""
+    low = float(low)
+    u = lanes.doubles(1 if count is None else count)
+    return low + (float(high) - low) * (u[:, 0] if count is None else u)
+
+
+def _integers(lanes: _PCG64Lanes, high: int) -> np.ndarray:
+    """``integers(0, high)`` per lane, for a stream that has drawn no 32-bit word yet.
+
+    numpy draws a range below 2**32 by Lemire's method on 32-bit words:
+    ``m = word * high``, rejected while ``m``'s low word is below
+    ``2**32 % high``. PCG64 serves 32-bit words as the low half of a
+    64-bit draw, then its buffered upper half. The lanes' buffers are not
+    kept, so nothing may draw 32-bit words from these lanes afterwards.
+    """
+    threshold = (1 << 32) % high
+    words = lanes.next64()
+    m = (words & _MASK32) * high
+    todo = np.flatnonzero(m & _MASK32 < threshold)
+    upper = True
+    while todo.size:  # each round rejects with probability threshold / 2**32
+        if upper:
+            word = words[todo] >> 32
+        else:
+            words[todo] = lanes.next64(todo)
+            word = words[todo] & _MASK32
+        m[todo] = word * high
+        todo = todo[m[todo] & _MASK32 < threshold]
+        upper = not upper
+    return m >> 32
+
+
+def _laplace(lanes: _PCG64Lanes, count: int) -> np.ndarray:
+    """``laplace(0.0, 1.0, size=count)`` per lane: (lanes, count).
+
+    As numpy's ``random_laplace``: ``0.0 - log(2.0 - U - U)`` for U >= 0.5,
+    else ``0.0 + log(U + U)``, where a draw U == 0 is dropped and the next
+    double taken. The logs are libm's, through ``math.log``: ``np.log``
+    rounds some arguments differently.
+    """
+    u = lanes.doubles(count)
+    while (hit := np.flatnonzero((u == 0.0).any(axis=1))).size:
+        # drop each hit lane's first zero and append the lane's next draw
+        drawn = u[hit]
+        kept = drawn[np.arange(count) != (drawn == 0.0).argmax(axis=1)[:, None]]
+        u[hit] = np.column_stack([kept.reshape(hit.size, count - 1), lanes.doubles(1, hit)])
+    upper = u >= 0.5
+    arg = np.where(upper, 2.0 - u - u, u + u)
+    log = np.fromiter(map(math.log, arg.ravel().tolist()), np.float64, arg.size).reshape(arg.shape)
+    return np.where(upper, 0.0 - log, log)  # 0.0 + log is log: log(U + U) < 0
 
 
 def generate_synthetic(config: GeneratorConfig, seed: int | None = None) -> RawSeries:
@@ -344,38 +449,29 @@ def generate_synthetic(config: GeneratorConfig, seed: int | None = None) -> RawS
 
     Series ``index`` draws its pattern from exactly the stream of
     ``default_rng(SeedSequence([seed, index, 0]))`` and its noise from
-    ``[seed, index, 1]``. The seeds are hashed on arrays, a block of
-    series at a time, and two generators are re-seeded per series rather
-    than built. Only the draws run per series: the pattern and noise
-    arithmetic runs on arrays, one family at a time.
+    ``[seed, index, 1]``. No generator is built: each family runs in
+    blocks of series, whose seeds are hashed, whose PCG64 streams are
+    stepped and whose draws and arithmetic run on arrays, one lane per
+    series.
     """
     base_seed = (config if seed is None else replace(config, seed=seed)).seed  # checks seed
     n_steps = config.series_length + 1  # window plus the target step
     counts = [config.families.get(family, 0) for family in FAMILIES]
     z = np.empty((sum(counts), n_steps))
     scales = np.empty(sum(counts))
-    pattern_rng = np.random.Generator(np.random.PCG64(0))
-    noise_rng = np.random.Generator(np.random.PCG64(0))
-    streams = zip(_pcg64_states(base_seed, sum(counts), 0), _pcg64_states(base_seed, sum(counts), 1))
     uniform = config.noise["law"] == "uniform"
     start = 0
     for family, count in zip(FAMILIES, counts):
-        if not count:
-            continue
-        amplitude, uniform_draws = np.empty(count), np.empty(count)
-        laplace = np.empty((count, n_steps))
-        shape_draws = []
-        for i, (pattern_state, noise_state) in enumerate(itertools.islice(streams, count)):
-            pattern_rng.bit_generator.state = pattern_state
-            noise_rng.bit_generator.state = noise_state
-            amplitude[i] = pattern_rng.uniform(*config.amplitude_range)
-            shape_draws.append(_shape_draws(family, n_steps, pattern_rng))
-            if uniform:
-                uniform_draws[i] = noise_rng.uniform(config.noise["low"], config.noise["high"])
-            laplace[i] = noise_rng.laplace(0.0, 1.0, size=n_steps)
-        rows = slice(start, start + count)
-        scales[rows] = _noise_scales(config, amplitude, uniform_draws)
-        z[rows] = _patterns(family, amplitude[:, None], shape_draws, n_steps) + scales[rows, None] * laplace
+        for first in range(start, start + count, _LANE_BLOCK):
+            rows = slice(first, min(first + _LANE_BLOCK, start + count))
+            index = np.arange(rows.start, rows.stop, dtype=np.uint32)
+            pattern = _PCG64Lanes.seeded(base_seed, index, 0)
+            noise = _PCG64Lanes.seeded(base_seed, index, 1)
+            amplitude = _uniform(pattern, *config.amplitude_range)
+            uniform_draws = _uniform(noise, config.noise["low"], config.noise["high"]) if uniform else None
+            scales[rows] = _noise_scales(config, amplitude, uniform_draws)
+            shape = _patterns(family, amplitude[:, None], _shape_draws(family, n_steps, pattern), n_steps)
+            z[rows] = shape + scales[rows, None] * _laplace(noise, n_steps)
         start += count
     return RawSeries(values=z[:, :-1], target=z[:, -1], true_scale=scales)
 

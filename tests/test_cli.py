@@ -336,6 +336,26 @@ class TestMalformedCsv:
         assert err == f"error: {bad}: not UTF-8 text: invalid start byte at byte 54\n"
 
 
+class TestStatisticsThatOverflow:
+    """Finite values whose mean or std overflows fail at the features: exit 1, one line naming the file and line."""
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning printed before the error fails too
+    @pytest.mark.parametrize("values", [["3e307"] * 8, ["1e200", "-1e200"] * 4], ids=["mean", "std"])
+    @pytest.mark.parametrize("command", ["train", "evaluate", "cluster"])
+    def test_one_line_names_the_row(self, workspace, tmp_path, capsys, command, values):
+        lines = workspace["data"].read_text().splitlines()
+        assert len(lines[0].split(",")) == len(values) + 2  # values, target, true_scale
+        lines[3] = ",".join(values + ["1.0", "1.0"])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = [command, "--config", str(workspace["run_config"]), "--data", str(bad),
+                "--out", str(tmp_path / "out")]
+        if command == "evaluate":
+            argv += ["--checkpoints", str(workspace["ckpts"])]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {bad}, line 4: mean or standard deviation is not finite\n"
+
+
 def test_cluster_with_fewer_series_than_k_names_file_and_field(tmp_path, capsys):
     data = tmp_path / "two.csv"
     data.write_text("value_1,value_2,target,true_scale\n1.0,2.0,3.0,1.0\n2.0,1.0,0.5,1.0\n")

@@ -9,11 +9,13 @@ from forecast_uq import cluster
 from forecast_uq.cluster import (
     DISTANCE_BLOCK_ROWS,
     ClusterResult,
+    _nearest,
+    _screen,
     _seed_centroids,
     _squared_distances,
     kmeans,
 )
-from forecast_uq.data import center_scale_normalize
+from forecast_uq.data import FAMILIES, GeneratorConfig, center_scale_normalize, generate_synthetic
 
 
 def plain_lloyd(series, k, seed=0, max_iter=100):
@@ -52,6 +54,13 @@ def plain_lloyd(series, k, seed=0, max_iter=100):
     )
 
 
+def assert_screen_within_eps(points, centroids):
+    """The GEMM distances of every row are within the screen's eps of the exact ones."""
+    sq_norms = np.einsum("nd,nd->n", points, points)
+    scores, eps = _screen(points, sq_norms, np.sqrt(sq_norms.max()), centroids, np.arange(len(points)))
+    assert np.abs(scores - _squared_distances(points, centroids)).max() <= eps
+
+
 def assert_same_result(points, k, seed=0, max_iter=100):
     got = kmeans(points, k, seed=seed, max_iter=max_iter)
     want = plain_lloyd(points, k, seed=seed, max_iter=max_iter)
@@ -60,6 +69,7 @@ def assert_same_result(points, k, seed=0, max_iter=100):
     assert np.array_equal(got.assignments, want.assignments)
     assert got.inertia == want.inertia
     assert got.n_iter == want.n_iter
+    assert_screen_within_eps(points, got.centroids)
 
 
 def separated_blobs():
@@ -78,16 +88,16 @@ EMPTIES_AT_ITERATION_3 = np.array([
 ])[:, None]
 
 
-def count_distance_rows(monkeypatch):
-    """Record how many rows each `_squared_distances` call inside `kmeans` takes."""
-    evaluated = []
+def count_screened_rows(monkeypatch):
+    """Record how many rows each pass of `kmeans` re-scores through `_nearest`."""
+    screened = []
 
-    def counted(points, centroids, rows=None):
-        evaluated.append(len(points) if rows is None else len(rows))
-        return _squared_distances(points, centroids, rows)
+    def counted(points, sq_norms, max_norm, centroids, rows):
+        screened.append(len(rows))
+        return _nearest(points, sq_norms, max_norm, centroids, rows)
 
-    monkeypatch.setattr(cluster, "_squared_distances", counted)
-    return evaluated
+    monkeypatch.setattr(cluster, "_nearest", counted)
+    return screened
 
 
 @st.composite
@@ -258,6 +268,49 @@ class TestPrunedLloydIsExact:
         assert np.bincount(kmeans(points, 2, seed=0).assignments[:30], minlength=2).max() == 30
         assert_same_result(points, 2, seed=0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_plain_lloyd_on_eval_wide_shaped_series(self, seed):
+        config = GeneratorConfig(families={family: 2000 for family in FAMILIES}, series_length=24,
+                                 noise={"law": "uniform", "low": 0.5, "high": 9.0}, seed=seed)
+        normalized = center_scale_normalize(generate_synthetic(config).values)
+        assert normalized.shape == (8000, 24)
+        assert_same_result(normalized, 16, seed=seed)
+
+    @pytest.mark.parametrize("layout", ["diagonal", "offset", "magnitude"])
+    def test_screen_hands_near_ties_to_the_exact_path(self, layout, monkeypatch):
+        rng = np.random.default_rng(12)
+        if layout == "diagonal":
+            # integers on the line x_1 = ... = x_4: exact distance ties
+            points = np.repeat(np.round(rng.normal(size=(300, 1)) * 3.0), 4, axis=1)
+        elif layout == "offset":
+            # |x| ~ 1e8 and spreads of 1e-8: eps dwarfs every gap
+            points = 1e8 + 1e-8 * rng.normal(size=(300, 3))
+        else:
+            # unnormalized, |x| ~ 1e6: eps ~ 1e-2 against gaps of order 1
+            points = 1e6 + rng.normal(size=(2000, 3))
+        exact_rows = []
+
+        def counted(points, centroids, rows=None):
+            if rows is not None:  # only the screen asks for some rows
+                exact_rows.append(len(rows))
+            return _squared_distances(points, centroids, rows)
+
+        monkeypatch.setattr(cluster, "_squared_distances", counted)
+        kmeans(points, 6, seed=0)
+        assert sum(exact_rows) > 0
+        monkeypatch.undo()
+        assert_same_result(points, 6, seed=0)
+        assert_screen_within_eps(points, _seed_centroids(points, 6, np.random.default_rng(0)))
+
+    @pytest.mark.filterwarnings("error")  # no overflow warning from the screen either
+    def test_scores_that_overflow_take_the_exact_path(self):
+        # |x| ~ 1e160: |x|^2 and x.c overflow in the screen, no difference does
+        points = 1e160 + 1e150 * np.random.default_rng(13).normal(size=(50, 3))
+        got, want = kmeans(points, 3, seed=0), plain_lloyd(points, 3, seed=0)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert np.array_equal(got.assignments, want.assignments)
+        assert (got.inertia, got.n_iter) == (want.inertia, want.n_iter)
+
     def test_rounded_bounds_on_exact_ties_are_not_pruned(self):
         # collinear integer points: some point sits exactly as far from two
         # centroids, and the rounded bound arithmetic says "strictly nearer";
@@ -288,21 +341,20 @@ class TestPrunedLloydIsExact:
     def test_pass_after_a_reseed_recomputes_every_row(self, monkeypatch):
         # a re-seed moves centroids without moving the bounds, so the next
         # pass may prune nothing
-        evaluated = count_distance_rows(monkeypatch)
+        screened = count_screened_rows(monkeypatch)
         kmeans(EMPTIES_AT_ITERATION_3, 4, seed=0)
         n = len(EMPTIES_AT_ITERATION_3)
-        # iteration 3 prunes, then takes the full matrix for its re-seed
-        assert evaluated[2] < n and evaluated[3] == n
-        assert evaluated[4] == n
+        # iteration 3 prunes, then re-seeds; iteration 4 re-scores every row
+        assert screened[2] < n and screened[3] == n
 
     def test_later_passes_skip_most_rows(self, monkeypatch):
         points = separated_blobs()
         n = len(points)
-        evaluated = count_distance_rows(monkeypatch)
+        screened = count_screened_rows(monkeypatch)
         result = kmeans(points, 4, seed=0)
         assert result.n_iter >= 5
-        assert len(evaluated) == result.n_iter + 1  # one pass per iteration and the final one
-        assert evaluated[0] == evaluated[-1] == n
-        assert max(evaluated[2:-1]) < n / 10
+        assert len(screened) == result.n_iter  # one pass per iteration; the final pass is exact
+        assert screened[0] == n
+        assert max(screened[2:]) < n / 10
         monkeypatch.undo()
         assert_same_result(points, 4, seed=0)

@@ -1,5 +1,7 @@
 """Generator, normalization, featurization, split, and CSV round trips."""
 
+import pickle
+import random
 from dataclasses import asdict
 
 import numpy as np
@@ -11,11 +13,13 @@ from forecast_uq.data import (
     DEFAULT_STD_THRESHOLD,
     FAMILIES,
     NOISE_LAWS,
-    _SEED_BLOCK,
+    _LANE_BLOCK,
     Dataset,
     GeneratorConfig,
     RawSeries,
-    _pcg64_states,
+    _integers,
+    _laplace,
+    _PCG64Lanes,
     center_scale_normalize,
     featurize,
     generate_synthetic,
@@ -25,7 +29,7 @@ from forecast_uq.data import (
     write_series_csv,
 )
 from forecast_uq.documents import from_document
-from forecast_uq.exceptions import ConfigError
+from forecast_uq.exceptions import ConfigError, RowError
 
 
 def small_config(**overrides) -> GeneratorConfig:
@@ -81,6 +85,27 @@ class TestCenterScaleNormalize:
     def test_nan_threshold_rejected(self):
         with pytest.raises(ValueError, match="std_threshold must be positive"):
             center_scale_normalize(np.array([1.0, 2.0]), std_threshold=float("nan"))
+
+    @pytest.mark.filterwarnings("error")  # no overflow warning on the way to the error
+    @pytest.mark.parametrize("row", [[3e307] * 8, [1e200, -1e200] * 4, [1.0, np.nan] * 4, [np.inf] * 8],
+                             ids=["mean-overflows", "std-overflows", "nan", "inf"])
+    def test_row_with_non_finite_statistics_is_named(self, row):
+        z = np.ones((4, 8))
+        z[2] = row
+        for transform in (center_scale_normalize, featurize):
+            with pytest.raises(RowError) as info:
+                transform(z)
+            assert (info.value.row, str(info.value)) == (2, "series 2: mean or standard deviation is not finite")
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert (type(copy), copy.row, copy.reason) == (RowError, 2, info.value.reason)
+
+    def test_finite_statistics_keep_their_bits(self):
+        rng = np.random.default_rng(6)
+        z = rng.normal(size=(50, 12)) * np.logspace(-150, 150, 50)[:, None]
+        z[3] = 1e-300  # below the threshold: centered only
+        std = z.std(axis=-1, keepdims=True)
+        want = (z - z.mean(axis=-1, keepdims=True)) / np.where(std >= DEFAULT_STD_THRESHOLD, std, 1.0)
+        assert center_scale_normalize(z).tobytes() == want.tobytes()
 
 
 class TestFeaturize:
@@ -314,16 +339,112 @@ class TestStreamsEqualPerSeriesGenerators:
         config = small_config(noise=noise, amplitude_range=(7, 2**53 + 3))
         assert_same_series(generate_synthetic(config), per_series_generators(config))
 
+    @pytest.mark.parametrize("law", NOISE_LAWS)
+    def test_families_larger_than_a_lane_block(self, law):
+        count = _LANE_BLOCK + 1000  # one full block and a partial one per family
+        assert count >= 3000
+        config = small_config(families={family: count for family in FAMILIES}, noise=NOISE[law])
+        assert_same_series(generate_synthetic(config), per_series_generators(config))
+
     @settings(max_examples=200, deadline=None)
-    @given(base_seed=st.integers(0, 2**96), count=st.integers(1, 40), stream=st.integers(0, 1))
-    @example(base_seed=0, count=1, stream=0)
-    @example(base_seed=2**32, count=3, stream=1)
-    @example(base_seed=2**96, count=2, stream=0)
-    @example(base_seed=5, count=2 * _SEED_BLOCK + 3, stream=1)  # crosses two blocks
-    def test_states_equal_seed_sequence(self, base_seed, count, stream):
-        want = [np.random.PCG64(np.random.SeedSequence([base_seed, index, stream])).state
-                for index in range(count)]
-        assert list(_pcg64_states(base_seed, count, stream)) == want
+    @given(base_seed=st.integers(0, 2**96), first=st.integers(0, 2**32 - 41), count=st.integers(1, 40),
+           stream=st.integers(0, 1))
+    @example(base_seed=0, first=0, count=1, stream=0)
+    @example(base_seed=2**32, first=0, count=3, stream=1)
+    @example(base_seed=2**96, first=0, count=2, stream=0)
+    @example(base_seed=5, first=0, count=2 * _LANE_BLOCK + 3, stream=1)  # as many lanes as two blocks and more
+    @example(base_seed=2**64 + 3, first=3 * _LANE_BLOCK, count=5, stream=1)  # a later block, multi-word seed
+    @example(base_seed=7, first=2**32 - 1, count=1, stream=0)  # the last uint32 index
+    def test_states_equal_seed_sequence(self, base_seed, first, count, stream):
+        want = [np.random.PCG64(np.random.SeedSequence([base_seed, index, stream])).state["state"]
+                for index in range(first, first + count)]
+        lanes = _PCG64Lanes.seeded(base_seed, np.arange(first, first + count, dtype=np.uint32), stream)
+        halves = zip(lanes.hi.tolist(), lanes.lo.tolist(), lanes.inc_hi.tolist(), lanes.inc_lo.tolist())
+        assert [{"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
+                for hi, lo, inc_hi, inc_lo in halves] == want
+
+
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MASK64, MASK128 = (1 << 64) - 1, (1 << 128) - 1
+
+
+def state_before(state, inc, steps):
+    """The PCG64 state ``steps`` LCG steps before ``state``: (s - inc) * M**-1 mod 2**128."""
+    inverse = pow(PCG64_MULT, -1, 1 << 128)
+    for _ in range(steps):
+        state = (state - inc) * inverse & MASK128
+    return state
+
+
+def state_drawing(output, rot):
+    """A state whose XSL-RR output is ``output``: rotr(hi ^ lo, hi >> 58) with hi's top bits ``rot``."""
+    hi = rot << 58 | 0x0123456789ABCDEF
+    return hi << 64 | hi ^ ((output << rot | output >> (64 - rot)) & MASK64)
+
+
+def lanes_at(states, incs):
+    """``_PCG64Lanes`` holding the given 128-bit states and increments."""
+    def halves(values):
+        return (np.array([v >> 64 for v in values], dtype=np.uint64),
+                np.array([v & MASK64 for v in values], dtype=np.uint64))
+    return _PCG64Lanes(*halves(states), *halves(incs))
+
+
+def generator_at(state, inc):
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+def lane_state(lanes, j):
+    return {"state": int(lanes.hi[j]) << 64 | int(lanes.lo[j]),
+            "inc": int(lanes.inc_hi[j]) << 64 | int(lanes.inc_lo[j])}
+
+
+class TestRarePathsEqualNumpy:
+    """Forced PCG64 states reach the lane code's redraws; each lane matches a numpy Generator byte for byte."""
+
+    @pytest.mark.parametrize("position", [0, 1, 12, 24])
+    def test_laplace_redraws_a_zero_uniform(self, position):
+        n = 25
+        rnd = random.Random(position)
+        incs = [rnd.getrandbits(128) | 1 for _ in range(4)]
+        # lane 1 draws U == 0 at `position` (output < 2**11), lane 2 an output
+        # of 2**11, the smallest positive U; lanes 0 and 3 are unforced
+        states = [rnd.getrandbits(128),
+                  state_before(state_drawing(5, rot=7), incs[1], position + 1),
+                  state_before(state_drawing(1 << 11, rot=0), incs[2], position + 1),
+                  rnd.getrandbits(128)]
+        assert generator_at(states[1], incs[1]).random(position + 1)[-1] == 0.0
+        assert generator_at(states[2], incs[2]).random(position + 1)[-1] == 2.0**-53
+        lanes = lanes_at(states, incs)
+        got = _laplace(lanes, n)
+        for j, (state, inc) in enumerate(zip(states, incs)):
+            rng = generator_at(state, inc)
+            assert got[j].tobytes() == rng.laplace(0.0, 1.0, size=n).tobytes()
+            assert lane_state(lanes, j) == rng.bit_generator.state["state"]
+
+    def test_lemire_rejections(self):
+        # 32-bit words w with w * 12 mod 2**32 < 4 are rejected: w in {0, 2**30, 2**31, 3 * 2**30}
+        outputs = [
+            0xC0000001 << 32 | 1 << 30,  # low half rejected, buffered upper half gives 9
+            1 << 31 << 32 | 3 << 30,  # both halves rejected: a fresh 64-bit draw follows
+            0xC0000001 << 32 | pow(3, -1, 1 << 30),  # low word * 12 = 4 mod 2**32: accepted
+        ]
+        rnd = random.Random(3)
+        incs = [rnd.getrandbits(128) | 1 for _ in range(len(outputs) + 1)]
+        states = [state_before(state_drawing(out, rot=j + 1), inc, 1)
+                  for j, (out, inc) in enumerate(zip(outputs, incs))] + [rnd.getrandbits(128)]
+        lanes = lanes_at(states, incs)
+        got = _integers(lanes, 12)
+        want = []
+        for j, (state, inc) in enumerate(zip(states, incs)):
+            rng = generator_at(state, inc)
+            want.append(rng.integers(0, 12))
+            assert lane_state(lanes, j) == rng.bit_generator.state["state"]
+        assert got.tolist() == want
+        assert want[0] == 9
 
 
 class TestGeneratorConfig:
