@@ -23,7 +23,6 @@ from .data import (
 )
 from .exceptions import ConfigError, ShapeError, TrainingError
 from .losses import (
-    DEFAULT_ALPHA,
     DEFAULT_SCALE_FLOOR,
     elu_plus_one,
     laplace_likelihood,
@@ -69,7 +68,6 @@ __all__ = [
     "BASELINES",
     "ClusterResult",
     "ConfigError",
-    "DEFAULT_ALPHA",
     "DEFAULT_SCALE_FLOOR",
     "DEFAULT_STD_THRESHOLD",
     "Dataset",

@@ -153,6 +153,9 @@ def _read_dataset(path, std_threshold: float):
 
 def cmd_generate(config: GeneratorConfig, out_path) -> None:
     series = generate_synthetic(config)
+    parent = os.path.dirname(out_path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
     write_series_csv(series, out_path)
     print(f"wrote {len(series)} series to {out_path}")
 
@@ -437,10 +440,10 @@ def _main_generate(args) -> int:
     if args.seeds:
         config = replace(config, seed=args.seeds[0])
     out_path = _resolve_out(args, "file")
-    parent = os.path.dirname(out_path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    cmd_generate(config, out_path)
+    try:
+        cmd_generate(config, out_path)
+    except ConfigError as exc:  # a config that loaded but draws values out of range
+        raise ConfigError(f"{args.config}: {exc}") from None
     return 0
 
 

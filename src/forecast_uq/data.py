@@ -461,18 +461,26 @@ def generate_synthetic(config: GeneratorConfig, seed: int | None = None) -> RawS
     scales = np.empty(sum(counts))
     uniform = config.noise["law"] == "uniform"
     start = 0
-    for family, count in zip(FAMILIES, counts):
-        for first in range(start, start + count, _LANE_BLOCK):
-            rows = slice(first, min(first + _LANE_BLOCK, start + count))
-            index = np.arange(rows.start, rows.stop, dtype=np.uint32)
-            pattern = _PCG64Lanes.seeded(base_seed, index, 0)
-            noise = _PCG64Lanes.seeded(base_seed, index, 1)
-            amplitude = _uniform(pattern, *config.amplitude_range)
-            uniform_draws = _uniform(noise, config.noise["low"], config.noise["high"]) if uniform else None
-            scales[rows] = _noise_scales(config, amplitude, uniform_draws)
-            shape = _patterns(family, amplitude[:, None], _shape_draws(family, n_steps, pattern), n_steps)
-            z[rows] = shape + scales[rows, None] * _laplace(noise, n_steps)
-        start += count
+    # values beyond the float64 range become inf or NaN here and are reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for family, count in zip(FAMILIES, counts):
+            for first in range(start, start + count, _LANE_BLOCK):
+                rows = slice(first, min(first + _LANE_BLOCK, start + count))
+                index = np.arange(rows.start, rows.stop, dtype=np.uint32)
+                pattern = _PCG64Lanes.seeded(base_seed, index, 0)
+                noise = _PCG64Lanes.seeded(base_seed, index, 1)
+                amplitude = _uniform(pattern, *config.amplitude_range)
+                uniform_draws = _uniform(noise, config.noise["low"], config.noise["high"]) if uniform else None
+                scales[rows] = _noise_scales(config, amplitude, uniform_draws)
+                shape = _patterns(family, amplitude[:, None], _shape_draws(family, n_steps, pattern), n_steps)
+                z[rows] = shape + scales[rows, None] * _laplace(noise, n_steps)
+            start += count
+    bad = np.flatnonzero(~np.isfinite(z).all(axis=1))
+    if bad.size:
+        raise ConfigError(
+            f"noise {config.noise} and amplitude_range {list(config.amplitude_range)} draw values "
+            f"beyond the float64 range, first in series {bad[0]}"
+        )
     return RawSeries(values=z[:, :-1], target=z[:, -1], true_scale=scales)
 
 

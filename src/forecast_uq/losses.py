@@ -21,7 +21,6 @@ import numpy as np
 
 from .nn.tensor import Tensor, _record_op, _unbroadcast, as_tensor
 
-DEFAULT_ALPHA = 1.0
 DEFAULT_SCALE_FLOOR = 1e-3
 
 
@@ -42,24 +41,20 @@ def _check_shapes(name: str, targets, preds, scales=None) -> None:
         )
 
 
-def elu_plus_one(x, alpha: float = DEFAULT_ALPHA):
-    """Map an unconstrained value to a positive scale.
+def elu_plus_one(x):
+    """Map an unconstrained value to a positive scale: e^x for x < 0, x + 1 for x >= 0.
 
-    alpha*(e^x - 1) + 1 for x < 0, x + 1 for x >= 0. Continuous and
-    monotone increasing; with alpha <= 1 the output stays positive.
+    ELU plus one, continuous and monotone increasing.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     if isinstance(x, Tensor):
-        # the tape chain x.elu(alpha) + 1.0 as one op
+        # the tape chain elu(x) + 1.0 as one op
         neg = x.data < 0.0
-        elu = np.where(neg, alpha * np.expm1(x.data), x.data)
-        return _record_op((x,), elu + 1.0, lambda g: (g * np.where(neg, elu + alpha, 1.0),))
+        elu = np.where(neg, np.expm1(x.data), x.data)
+        return _record_op((x,), elu + 1.0, lambda g: (g * np.where(neg, elu + 1.0, 1.0),))
     x = np.asarray(x, dtype=np.float64)
-    # alpha*(e^x - 1) + 1 rewritten as alpha*e^x + (1 - alpha): the naive
-    # form cancels to exactly 0.0 once e^x drops below float64 epsilon,
-    # while this form keeps the result strictly positive for alpha <= 1.
-    out = np.where(x < 0.0, alpha * np.exp(np.minimum(x, 0.0)) + (1.0 - alpha), x + 1.0)
+    # (e^x - 1) + 1 written as e^x: the naive form cancels to exactly 0.0 once
+    # e^x drops below float64 epsilon, while e^x stays positive down to x = -745
+    out = np.where(x < 0.0, np.exp(np.minimum(x, 0.0)), x + 1.0)
     return float(out) if out.ndim == 0 else out
 
 

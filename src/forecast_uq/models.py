@@ -105,10 +105,8 @@ class ModelSpec:
         uncertainty: str,
         input_dim: int,
         desk: bool = False,
-        dropout_p: float | None = None,
     ) -> "ModelSpec":
-        if dropout_p is None:
-            dropout_p = MC_DROPOUT_P if uncertainty == "mc_dropout" else 0.0
+        dropout_p = MC_DROPOUT_P if uncertainty == "mc_dropout" else 0.0
         if backbone == "dense":
             sizes = _DESK_DENSE_SIZES if desk else _FULL_DENSE_SIZES
             return cls(backbone, uncertainty, input_dim, sizes, 0, dropout_p)

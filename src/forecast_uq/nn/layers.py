@@ -22,7 +22,7 @@ import numpy as np
 from ..exceptions import ShapeError
 from .tensor import Tensor, _record_op, affine, as_tensor, concat, will_record
 
-ACTIVATIONS = ("relu", "tanh", "identity")
+ACTIVATIONS = ("relu", "identity")
 
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -96,8 +96,6 @@ def dense_chain(x, layers, masks) -> Tensor:
         a += layer.bias.data
         if layer.activation == "relu":
             np.maximum(a, 0.0, out=a)
-        elif layer.activation == "tanh":
-            np.tanh(a, out=a)
         if record:
             kept.append((h, a))
         h = a
@@ -108,8 +106,6 @@ def dense_chain(x, layers, masks) -> Tensor:
             layer, m, (h_in, out) = layers[i], masks[i], kept[i]
             if layer.activation == "relu":
                 g = g * (out > 0.0)  # out > 0 exactly where the pre-activation is
-            elif layer.activation == "tanh":
-                g = g * (1.0 - out * out)
             grads += [g.sum(axis=0), (h_in.T @ g).T]
             if i == 0 and not need_dx:
                 g = None

@@ -39,35 +39,41 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def item(self) -> float:
-        return self.data.item()
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag})"
 
-    # arithmetic -----------------------------------------------------------
+    # arithmetic: what LstmCell.step composes, and the division of a summed loss
 
     def __add__(self, other):
-        return _add(self, as_tensor(other))
-
-    def __sub__(self, other):
-        return _sub(self, as_tensor(other))
+        other = as_tensor(other)
+        sa, sb = self.shape, other.shape
+        return _record_op(
+            (self, other),
+            self.data + other.data,
+            lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)),
+        )
 
     def __mul__(self, other):
-        return _mul(self, as_tensor(other))
-
-    def __rmul__(self, other):
-        return _mul(as_tensor(other), self)
+        other = as_tensor(other)
+        da, db = self.data, other.data
+        return _record_op(
+            (self, other),
+            da * db,
+            lambda g: (_unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape)),
+        )
 
     def __truediv__(self, other):
-        return _div(self, as_tensor(other))
+        other = as_tensor(other)
+        da, db = self.data, other.data
+        out = da / db
+        return _record_op(
+            (self, other),
+            out,
+            lambda g: (_unbroadcast(g / db, da.shape), _unbroadcast(-g * out / db, db.shape)),
+        )
 
     # elementwise functions ------------------------------------------------
-
-    def relu(self) -> "Tensor":
-        x = self.data
-        return _record_op((self,), np.maximum(x, 0.0), lambda g: (g * (x > 0.0),))
 
     def sigmoid(self) -> "Tensor":
         out = 1.0 / (1.0 + np.exp(-self.data))
@@ -77,37 +83,9 @@ class Tensor:
         out = np.tanh(self.data)
         return _record_op((self,), out, lambda g: (g * (1.0 - out * out),))
 
-    def elu(self, alpha: float = 1.0) -> "Tensor":
-        x = self.data
-        neg = x < 0.0
-        out = np.where(neg, alpha * np.expm1(x), x)
-        # d/dx alpha*(e^x - 1) = alpha*e^x = out + alpha on the negative branch
-        return _record_op((self,), out, lambda g: (g * np.where(neg, out + alpha, 1.0),))
-
-    def log(self) -> "Tensor":
-        x = self.data
-        return _record_op((self,), np.log(x), lambda g: (g / x,))
-
-    def abs(self) -> "Tensor":
-        x = self.data
-        return _record_op((self,), np.abs(x), lambda g: (g * np.sign(x),))
-
-    __abs__ = abs
-
     def clip_min(self, floor: float) -> "Tensor":
         x = self.data
         return _record_op((self,), np.maximum(x, floor), lambda g: (g * (x > floor),))
-
-    # reductions -------------------------------------------------------------
-
-    def sum(self) -> "Tensor":
-        shape = self.data.shape
-        return _record_op((self,), self.data.sum(), lambda g: (np.full(shape, g),))
-
-    def mean(self) -> "Tensor":
-        shape = self.data.shape
-        n = self.data.size
-        return _record_op((self,), self.data.mean(), lambda g: (np.full(shape, g / n),))
 
 
 def as_tensor(value) -> Tensor:
@@ -145,43 +123,6 @@ def _record_op(
     if will_record(inputs):
         _state.tape._record(inputs, out, vjp)
     return out
-
-
-def _add(a: Tensor, b: Tensor) -> Tensor:
-    sa, sb = a.data.shape, b.data.shape
-    return _record_op(
-        (a, b),
-        a.data + b.data,
-        lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)),
-    )
-
-
-def _sub(a: Tensor, b: Tensor) -> Tensor:
-    sa, sb = a.data.shape, b.data.shape
-    return _record_op(
-        (a, b),
-        a.data - b.data,
-        lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)),
-    )
-
-
-def _mul(a: Tensor, b: Tensor) -> Tensor:
-    da, db = a.data, b.data
-    return _record_op(
-        (a, b),
-        da * db,
-        lambda g: (_unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape)),
-    )
-
-
-def _div(a: Tensor, b: Tensor) -> Tensor:
-    da, db = a.data, b.data
-    out = da / db
-    return _record_op(
-        (a, b),
-        out,
-        lambda g: (_unbroadcast(g / db, da.shape), _unbroadcast(-g * out / db, db.shape)),
-    )
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -140,22 +140,32 @@ def keep_grid_readout(
     return {float(k): float(ranked[: math.ceil(k * len(records))].mean()) for k in grid}
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of their ranks (``scipy.stats.rankdata``'s "average")."""
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])  # first of each tie run
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)  # mean of starts+1 .. ends
+    return ranks
+
+
 def error_score_correlation(records: PredictionRecords):
     """Spearman rank correlation between |error| and score, plus the pairs.
 
     Returns (rho, scatter) where scatter is an (N, 2) array of
-    (abs_error, score) rows for external plotting. Rho is NaN when
-    either side is constant (ranks undefined).
+    (abs_error, score) rows for external plotting. Rho is the Pearson
+    correlation of the average ranks, as ``scipy.stats.spearmanr`` computes
+    it, and NaN when either side is constant (ranks undefined).
     """
-    from scipy import stats  # here, not at module level: importing scipy.stats takes about 1 s
-
     if len(records) < 3:
         raise ValueError("need at least 3 records for a rank correlation")
     errors, scores = records.abs_error, records.score
     scatter = np.column_stack([errors, scores])
     if np.all(errors == errors[0]) or np.all(scores == scores[0]):
         return math.nan, scatter
-    rho = float(stats.spearmanr(errors, scores).statistic)
+    rho = float(np.corrcoef(_average_ranks(errors), _average_ranks(scores))[0, 1])
     return rho, scatter
 
 

@@ -397,21 +397,46 @@ class TestBooleansAreNotNumbers:
                        "data must be a flat list of finite numbers\n")
 
 
-def test_scipy_is_imported_only_for_the_rank_correlation(workspace, tmp_path):
-    # scipy.stats takes about a second to import, so the package and the CLI
-    # must start without it; evaluate still imports it to report Spearman rho
+def test_no_command_imports_scipy(workspace, tmp_path):
+    # the package needs numpy only: the four commands run in one process, and
+    # scipy is not loaded at start-up or after any of them
+    config, data = str(workspace["run_config"]), str(tmp_path / "data.csv")
+    runs = [
+        ["generate", "--config", str(workspace["gen_config"]), "--out", data],
+        ["train", "--config", config, "--data", data, "--out", str(tmp_path / "ckpts")],
+        ["evaluate", "--config", config, "--data", data, "--checkpoints", str(tmp_path / "ckpts"),
+         "--out", str(tmp_path / "eval")],
+        ["cluster", "--config", config, "--data", data, "--out", str(tmp_path / "clusters")],
+    ]
     script = (
-        "import sys, forecast_uq, forecast_uq.cli\n"
+        "import json, sys, forecast_uq, forecast_uq.cli\n"
         "assert 'scipy' not in sys.modules, 'scipy imported at start-up'\n"
-        "sys.exit(forecast_uq.cli.main(sys.argv[1:]))\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert forecast_uq.cli.main(argv) == 0, argv[0]\n"
+        "    assert 'scipy' not in sys.modules, f'scipy imported by {argv[0]}'\n"
     )
-    argv = ["evaluate", "--config", str(workspace["run_config"]), "--data", str(workspace["data"]),
-            "--checkpoints", str(workspace["ckpts"]), "--out", str(tmp_path / "out")]
     src = str(Path(forecast_uq.__file__).parents[1])
-    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert re.search(r", spearman rho -?[01]\.\d{3}$", done.stdout.splitlines()[-1]), done.stdout
+    assert any(re.search(r", spearman rho -?[01]\.\d{3}$", line) for line in done.stdout.splitlines())
+
+
+@pytest.mark.parametrize("noise", [
+    {"law": "constant", "scale": 1e308},
+    {"law": "uniform", "low": 1e308, "high": 1.7e308},
+], ids=["constant", "uniform"])
+def test_generate_out_of_range_noise_gives_one_error_line(noise, tmp_path, capsys):
+    config = tmp_path / "generator.json"
+    config.write_text(json.dumps({"families": {"trend": 5, "noise": 5}, "series_length": 6,
+                                  "noise": noise}))
+    out = tmp_path / "out" / "data.csv"
+    code = main(["generate", "--config", str(config), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: noise ") and "amplitude_range" in err
+    assert err.count("\n") == 1
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("command, config, seeds, message", [

@@ -8,6 +8,7 @@ import pytest
 from forecast_uq.exceptions import ShapeError
 from forecast_uq.nn import DenseLayer, GradientTape, LstmCell, Tensor
 
+import reference_ops as ops
 from test_tensor import check_gradient
 
 
@@ -38,10 +39,10 @@ class TestDenseLayer:
         layer = make_dense(np.eye(2), np.zeros(2), "relu")
         np.testing.assert_allclose(layer.forward([[3.0, -2.0]]).data[0], [3.0, 0.0])
 
-    def test_tanh_with_bias(self):
-        layer = make_dense([[1.0, 1.0]], [0.5], "tanh")
-        out = layer.forward([[0.0, 0.0]]).data[0]
-        np.testing.assert_allclose(out, [0.46211715726000974], atol=1e-15)
+    def test_relu_with_bias(self):
+        layer = make_dense([[1.0, 1.0], [1.0, -1.0]], [0.5, -0.5], "relu")
+        out = layer.forward([[0.25, 1.0]]).data[0]
+        np.testing.assert_allclose(out, [1.75, 0.0], atol=1e-15)
 
     def test_dimension_mismatch_raises(self):
         layer = make_dense(np.eye(2), np.zeros(2), "identity")
@@ -52,7 +53,7 @@ class TestDenseLayer:
 
     def test_batch_forward_matches_per_row(self):
         rng = np.random.default_rng(0)
-        layer = DenseLayer.create(4, 3, "tanh", rng)
+        layer = DenseLayer.create(4, 3, "relu", rng)
         batch = rng.normal(size=(5, 4))
         together = layer.forward(Tensor(batch)).data
         for i in range(len(batch)):
@@ -67,16 +68,16 @@ class TestDenseLayer:
         np.testing.assert_allclose(layer.bias.data, np.zeros(20))
 
     def test_unknown_activation_rejected(self):
-        for activation in ("softplus", "sigmoid", "elu"):
+        for activation in ("softplus", "sigmoid", "elu", "tanh"):
             with pytest.raises(ValueError):
                 make_dense(np.eye(2), np.zeros(2), activation)
 
     def test_gradients_through_layer(self):
         rng = np.random.default_rng(2)
-        layer = DenseLayer.create(3, 2, "tanh", rng)
+        layer = DenseLayer.create(3, 2, "relu", rng)
         x = Tensor(rng.normal(size=(4, 3)))
         check_gradient(
-            lambda: layer.forward(x).abs().sum(),
+            lambda: ops.sum(ops.abs(layer.forward(x))),
             list(layer.parameters().values()),
         )
 
@@ -139,7 +140,7 @@ class TestLstmCell:
         x = Tensor(data, requires_grad=True)
         with GradientTape() as tape:
             out = upper.run(lower.run(x, return_sequence=True), return_sequence)
-            loss = (out * Tensor(weights)).sum()
+            loss = ops.sum(out * Tensor(weights))
         grads = tape.gradients(loss, params + [x])
 
         steps = [Tensor(x_t, requires_grad=True) for x_t in data]
@@ -147,13 +148,13 @@ class TestLstmCell:
             hidden = step_chain(upper, step_chain(lower, steps))
             if return_sequence:
                 ref_out = np.stack([h.data for h in hidden])
-                terms = [(h * Tensor(w)).sum() for h, w in zip(hidden, weights)]
+                terms = [ops.sum(h * Tensor(w)) for h, w in zip(hidden, weights)]
                 ref_loss = terms[0]
                 for term in terms[1:]:
                     ref_loss = ref_loss + term
             else:
                 ref_out = hidden[-1].data
-                ref_loss = (hidden[-1] * Tensor(weights)).sum()
+                ref_loss = ops.sum(hidden[-1] * Tensor(weights))
         ref = tape.gradients(ref_loss, params + steps)
 
         np.testing.assert_allclose(out.data, ref_out, rtol=1e-12, atol=0.0)
@@ -212,7 +213,7 @@ class TestLstmCell:
         cell = LstmCell.create(1, 2, rng)
         steps = Tensor(rng.normal(size=(4, 3, 1)))
         check_gradient(
-            lambda: cell.run(steps).abs().sum(),
+            lambda: ops.sum(ops.abs(cell.run(steps))),
             list(cell.parameters().values()),
             rtol=1e-5,
         )
@@ -225,7 +226,7 @@ class TestLstmCell:
 
         def loss():
             hidden = lower.run(steps, return_sequence=True)
-            return upper.run(hidden).abs().sum()
+            return ops.sum(ops.abs(upper.run(hidden)))
 
         params = list(lower.parameters().values()) + list(upper.parameters().values())
         check_gradient(loss, params, rtol=1e-5)

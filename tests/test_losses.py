@@ -14,6 +14,7 @@ from forecast_uq.losses import (
 )
 from forecast_uq.nn import GradientTape, Tensor
 
+import reference_ops as ops
 from test_tensor import check_gradient
 
 
@@ -30,15 +31,10 @@ class TestEluPlusOne:
     def test_matches_closed_form_on_random_points(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(-20.0, 20.0, size=1000)
-        for alpha in (1.0, 0.5):
-            expected = np.array(
-                [alpha * (math.exp(v) - 1.0) + 1.0 if v < 0 else v + 1.0 for v in x]
-            )
-            # atol covers the reference's own rounding when exp(v) - 1.0
-            # absorbs the tiny exp(v) term
-            np.testing.assert_allclose(
-                elu_plus_one(x, alpha), expected, rtol=1e-12, atol=1e-15
-            )
+        expected = np.array([(math.exp(v) - 1.0) + 1.0 if v < 0 else v + 1.0 for v in x])
+        # atol covers the reference's own rounding when exp(v) - 1.0
+        # absorbs the tiny exp(v) term
+        np.testing.assert_allclose(elu_plus_one(x), expected, rtol=1e-12, atol=1e-15)
 
     def test_monotone_and_continuous(self):
         x = np.linspace(-30.0, 30.0, 20001)
@@ -52,21 +48,15 @@ class TestEluPlusOne:
         values = elu_plus_one(np.array([-40.0, -100.0, -700.0]))
         assert np.all(values > 0.0)
 
-    def test_lower_bound_one_minus_alpha(self):
-        # strict positivity for the default alpha; for alpha < 1 the bound
-        # 1 - alpha can be touched once alpha * exp(x) rounds away
+    def test_strictly_positive_where_the_naive_form_cancels(self):
+        # (e^x - 1) + 1 is exactly 0.0 below x = -37; e^x is not
         x = np.linspace(-50.0, 5.0, 1001)
-        assert np.all(elu_plus_one(x, 1.0) > 0.0)
-        assert np.all(elu_plus_one(x, 0.3) >= 0.7)
+        assert np.all(elu_plus_one(x) > 0.0)
 
     def test_tensor_input_matches_array_path(self):
         x = np.array([-3.0, -0.2, 0.0, 1.5])
         out = elu_plus_one(Tensor(x))
         np.testing.assert_allclose(out.data, elu_plus_one(x), rtol=1e-15)
-
-    def test_invalid_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            elu_plus_one(1.0, alpha=0.0)
 
 
 class TestLaplaceNll:
@@ -151,7 +141,7 @@ class TestLaplaceNll:
         pre = Tensor(rng.normal(size=(10, 1)), requires_grad=True)
 
         def loss():
-            scales = (pre.elu(1.0) + 1.0).clip_min(1e-3)
+            scales = (ops.elu(pre) + 1.0).clip_min(1e-3)
             return laplace_nll(y, mus, scales)
 
         check_gradient(loss, [mus, pre], rtol=1e-6)

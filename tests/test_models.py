@@ -1,6 +1,7 @@
 """Model building, training loop, prediction, baselines, checkpoints."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -162,7 +163,7 @@ class TestPredict:
 
 class TestMcDropout:
     def test_zero_dropout_is_deterministic_forward(self):
-        spec = ModelSpec.default("dense", "mc_dropout", 14, desk=True, dropout_p=0.0)
+        spec = replace(ModelSpec.default("dense", "mc_dropout", 14, desk=True), dropout_p=0.0)
         model = build(spec, seed=0)
         x = np.random.default_rng(0).normal(size=(6, 14))
         mean, std = mc_dropout_predict(model, x, n_samples=8, seed=1)

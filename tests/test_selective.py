@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from forecast_uq.selective import (
     KEEP_GRID,
@@ -197,6 +198,21 @@ class TestErrorScoreCorrelation:
         )
         rho, _ = error_score_correlation(recs)
         assert abs(rho) < 0.05
+
+    @pytest.mark.parametrize("case", ["tied", "untied", "40k rows"])
+    def test_matches_scipy_spearmanr(self, case):
+        rng = np.random.default_rng(11)
+        if case == "tied":  # few distinct values on both sides, so most ranks are averages
+            errors = rng.integers(0, 6, size=300).astype(np.float64)
+            scores = errors + rng.integers(0, 4, size=300)
+        elif case == "untied":
+            errors = rng.exponential(1.0, size=300)
+            scores = errors + rng.uniform(0.0, 1.0, size=300)
+        else:
+            errors = rng.exponential(2.0, size=40_000)
+            scores = rng.uniform(0.0, 10.0, size=40_000) + 0.1 * errors
+        rho, _ = error_score_correlation(records_from(errors, scores))
+        assert abs(rho - stats.spearmanr(errors, scores).statistic) <= 1e-12
 
     def test_constant_side_gives_nan(self):
         rho, _ = error_score_correlation(records_from([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]))
