@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +30,7 @@ from .data import (
     read_series_csv,
     write_series_csv,
 )
-from .documents import check_kinds, load_json
+from .documents import check_kinds, load_json, write_csv, write_json
 from .exceptions import ConfigError, RowError, ShapeError, TrainingError
 from .models import (
     BACKBONES,
@@ -104,7 +103,6 @@ class RunConfig:
     curve_points: int = 50
     scatter_rows: int = 10000
     k: int = 16
-    std_threshold: float = DEFAULT_STD_THRESHOLD
 
     def __post_init__(self):
         check_kinds(self)
@@ -130,8 +128,6 @@ class RunConfig:
             raise ConfigError("scatter_rows must be positive")
         if self.k < 1:
             raise ConfigError("k must be positive")
-        if not 0.0 < self.std_threshold < np.inf:
-            raise ConfigError("std_threshold must be positive and finite")
 
 
 @contextlib.contextmanager
@@ -143,9 +139,9 @@ def _series_lines(path):
         raise ValueError(f"{path}, line {exc.row + 2}: {exc.reason}") from None
 
 
-def _read_dataset(path, std_threshold: float):
+def _read_dataset(path):
     with _series_lines(path):
-        return make_dataset(read_series_csv(path), std_threshold)
+        return make_dataset(read_series_csv(path), DEFAULT_STD_THRESHOLD)
 
 
 # -- generate -----------------------------------------------------------------
@@ -167,16 +163,14 @@ def _checkpoint_stem(spec: ModelSpec, seed: int) -> str:
     return f"{spec.backbone}_{spec.uncertainty}_seed{seed}"
 
 
-def _train_job(spec: ModelSpec, config: TrainConfig, data_path, std_threshold, out_dir) -> str:
+def _train_job(spec: ModelSpec, config: TrainConfig, data_path, out_dir) -> str:
     """One (model, seed) training run; module-level so jobs can fork."""
-    dataset = _read_dataset(data_path, std_threshold)
+    dataset = _read_dataset(data_path)
     model = build(spec, seed=config.seed)
     model, history = train(model, dataset, config)
     stem = _checkpoint_stem(spec, config.seed)
     save_checkpoint(model, os.path.join(out_dir, stem + ".ckpt.json"), config)
-    history_doc = {"schema_version": 1, **history}
-    with open(os.path.join(out_dir, stem + ".history.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(history_doc, sort_keys=True, indent=2) + "\n")
+    write_json(os.path.join(out_dir, stem + ".history.json"), {"schema_version": 1, **history})
     return stem
 
 
@@ -190,7 +184,7 @@ def cmd_train(run: RunConfig, data_path, out_dir, jobs: int = 1) -> list[str]:
         spec = ModelSpec.default(backbone, uncertainty, input_dim, desk=run.desk)
         for seed in run.seeds:
             config = replace(run.train, seed=seed)
-            job_args.append((spec, config, str(data_path), run.std_threshold, str(out_dir)))
+            job_args.append((spec, config, str(data_path), str(out_dir)))
 
     stems = []
     if jobs > 1:
@@ -265,7 +259,7 @@ def _matrix_row(by_seed: dict[int, PredictionRecords]) -> dict[float, dict]:
 
 
 def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filter=None) -> dict:
-    dataset = _read_dataset(data_path, run.std_threshold)
+    dataset = _read_dataset(data_path)
     x, y = dataset.x, dataset.y
     var_scores = input_variance_score(dataset.values)
     groups = _load_checkpoints(checkpoints_dir, data_path, x.shape, seeds_filter)
@@ -325,22 +319,15 @@ def cmd_cluster(run: RunConfig, data_path, out_dir, seed: int) -> None:
             f"set k in the run config (default {RunConfig.k})"
         )
     with _series_lines(data_path):
-        normalized = center_scale_normalize(series.values, run.std_threshold)
+        normalized = center_scale_normalize(series.values, DEFAULT_STD_THRESHOLD)
     result = kmeans(normalized, run.k, seed=seed)
     os.makedirs(out_dir, exist_ok=True)
 
-    length = normalized.shape[1]
-    centroids_path = os.path.join(out_dir, "centroids.csv")
-    with open(centroids_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(["cluster"] + [f"value_{i}" for i in range(1, length + 1)]) + "\n")
-        for i, row in enumerate(result.centroids):
-            fh.write(",".join([str(i)] + [repr(float(v)) for v in row]) + "\n")
-
-    assignments_path = os.path.join(out_dir, "assignments.csv")
-    with open(assignments_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("series_index,cluster\n")
-        fh.writelines(f"{i},{cluster}\n" for i, cluster in enumerate(result.assignments.tolist()))
-
+    header = ["cluster"] + [f"value_{i}" for i in range(1, normalized.shape[1] + 1)]
+    centroids = ([i] + row for i, row in enumerate(result.centroids.tolist()))
+    write_csv(os.path.join(out_dir, "centroids.csv"), header, centroids)
+    assignments = enumerate(result.assignments.tolist())
+    write_csv(os.path.join(out_dir, "assignments.csv"), ("series_index", "cluster"), assignments)
     summary = {
         "schema_version": 1,
         "k": run.k,
@@ -348,8 +335,7 @@ def cmd_cluster(run: RunConfig, data_path, out_dir, seed: int) -> None:
         "inertia": result.inertia,
         "n_iter": result.n_iter,
     }
-    with open(os.path.join(out_dir, "cluster_summary.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    write_json(os.path.join(out_dir, "cluster_summary.json"), summary)
     print(f"clustered {len(series)} series into {run.k} groups, inertia {result.inertia:.4f}")
 
 

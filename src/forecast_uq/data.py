@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .documents import check_kinds, check_value, load_csv
+from .documents import check_kinds, check_value, load_csv, write_csv
 from .exceptions import ConfigError, RowError
 
 __all__ = [
@@ -516,9 +516,8 @@ def write_series_csv(series: RawSeries, path) -> None:
     if series.true_scale is not None:
         header.append("true_scale")
         columns.append(series.true_scale[:, None])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in np.hstack(columns))
+    # one row at a time: a whole-table tolist() would hold every float as an object
+    write_csv(path, header, (row.tolist() for row in np.hstack(columns)))
 
 
 def read_series_csv(path) -> RawSeries:
@@ -527,11 +526,14 @@ def read_series_csv(path) -> RawSeries:
     A malformed file is a ValueError naming the file, and the line when
     one line is at fault: a row whose cell count differs from the
     header's, a cell that is not a finite number, a negative true_scale.
+    The header holds 'target' once and at most one 'true_scale', after it.
     """
     header, data = load_csv(path, "series rows")
     if "target" not in header:
         raise ValueError(f"{path}: no 'target' column")
     target_col = header.index("target")
+    if max(header.count("target"), header.count("true_scale")) > 1 or "true_scale" in header[:target_col]:
+        raise ValueError(f"{path}: need one 'target' column and at most one 'true_scale' column after it")
     if target_col < 2:
         raise ValueError(f"{path}: need at least 2 value columns before 'target'")
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))

@@ -1,10 +1,15 @@
-"""Strict loading of JSON documents into frozen dataclasses, and of CSV tables into arrays.
+"""Every file format the package reads or writes: JSON documents and CSV tables.
 
-A class's fields give the allowed keys, the required keys (no default) and
-each value's type: bool, int, float, str, object (any value), list (any
-array), X | None, tuple[X, ...], tuple[X, Y], dict[str, X], or a nested
-dataclass or NamedTuple. ``int`` rejects booleans and floats, ``float``
-takes finite numbers only, and every failure is a ``ConfigError`` reading
+No other module opens a file for writing. ``write_json`` writes sorted
+keys, two-space indents and one final newline; ``write_csv`` writes each
+number as ``repr``, so a float reads back bit for bit.
+
+``load_json`` builds a frozen dataclass from a document. A class's fields
+give the allowed keys, the required keys (no default) and each value's
+type: bool, int, float, str, object (any value), list (any array),
+X | None, tuple[X, ...], tuple[X, Y], dict[str, X], or a nested dataclass
+or NamedTuple. ``int`` rejects booleans and floats, ``float`` takes finite
+numbers only, and every failure is a ``ConfigError`` reading
 ``<file>.<field path>: <reason>``. Each class calls ``check_kinds`` first
 in ``__post_init__``, so the rule holds in Python too; semantic checks follow.
 
@@ -47,6 +52,19 @@ def load_json(path, cls):
         except (ValueError, RecursionError) as exc:  # malformed, undecodable or too deep
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return from_document(cls, raw, str(path))
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` with sorted keys, two-space indents and one final newline."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the ``header`` cells, then each row of Python numbers (as ``tolist()`` gives them) as ``repr``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 # bytes read at a time when counting a CSV file's lines

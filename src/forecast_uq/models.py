@@ -18,13 +18,12 @@ one interface.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import Dataset, split
-from .documents import check_kinds, load_json
+from .documents import check_kinds, load_json, write_json
 from .exceptions import ConfigError, ShapeError, TrainingError
 from .losses import DEFAULT_SCALE_FLOOR, elu_plus_one, laplace_nll, mae_loss
 from .nn import Adam, DenseLayer, GradientTape, LstmCell, Tensor, concat, dense_chain
@@ -491,8 +490,7 @@ def save_checkpoint(model: Model, path, training_config: TrainConfig | None = No
         "rng_seed": model.seed,
         "training_config": None if training_config is None else asdict(training_config),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_json(path, doc)
 
 
 def load_checkpoint(path) -> Model:

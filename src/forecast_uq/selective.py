@@ -12,14 +12,13 @@ Keeping nothing leaves the error undefined, reported as NaN rather than
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .documents import load_csv
+from .documents import load_csv, write_csv, write_json
 
 __all__ = [
     "KEEP_GRID",
@@ -173,10 +172,7 @@ def error_score_correlation(records: PredictionRecords):
 
 
 def write_curve_csv(curve: ErrorKeepCurve, path) -> None:
-    rows = zip(*(getattr(curve, name).tolist() for name in _CURVE_COLUMNS))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_CURVE_COLUMNS) + "\n")
-        fh.writelines(f"{t!r},{k!r},{m!r},{n}\n" for t, k, m, n in rows)
+    write_csv(path, _CURVE_COLUMNS, zip(*(getattr(curve, name).tolist() for name in _CURVE_COLUMNS)))
 
 
 def read_curve_csv(path) -> ErrorKeepCurve:
@@ -194,9 +190,7 @@ def write_scatter_csv(scatter: np.ndarray, path) -> None:
     scatter = np.asarray(scatter, dtype=np.float64)
     if scatter.ndim != 2 or scatter.shape[1] != 2:
         raise ValueError(f"scatter must be (N, 2), got {scatter.shape}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("abs_error,score\n")
-        fh.writelines(f"{err!r},{score!r}\n" for err, score in scatter.tolist())
+    write_csv(path, ("abs_error", "score"), scatter.tolist())
 
 
 def write_matrix_json(rows: dict, keep_grid: Sequence[float], path) -> None:
@@ -214,5 +208,4 @@ def write_matrix_json(rows: dict, keep_grid: Sequence[float], path) -> None:
             for name, row in rows.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_json(path, doc)

@@ -281,6 +281,9 @@ class TestCluster:
         assert doc["n_iter"] >= 1
 
 
+BAD_HEADER = ": need one 'target' column and at most one 'true_scale' column after it"
+
+
 class TestMalformedCsv:
     """A bad dataset fails at the reader: exit 1 and one stderr line, no traceback."""
 
@@ -313,7 +316,10 @@ class TestMalformedCsv:
         ("value_1,value_2,target,true_scale\n1.0,2.0,3.0,1.0\n\n2.0,1.0,0.5,1.0\n",
          ", line 3: 1 cells, header has 4"),
         ("value_1,value_2,target,true_scale\n1.0,nan,3.0,1.0\n", ", line 2: non-finite cell"),
-    ], ids=["header-only", "one-column-blank", "blank-middle-line", "nan-cell"])
+        ("true_scale,value_1,target\n1.5,2.0,3.0\n", BAD_HEADER),
+        ("value_1,value_2,target,true_scale,true_scale\n1,2,3,4,-1\n", BAD_HEADER),
+    ], ids=["header-only", "one-column-blank", "blank-middle-line", "nan-cell", "scale-before-target",
+            "scale-twice"])
     @pytest.mark.parametrize("command", ["train", "evaluate", "cluster"])
     def test_whole_file_gives_exactly_one_error_line(self, workspace, tmp_path, capsys, command,
                                                      text, message):

@@ -617,6 +617,27 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="no series rows"):
             read_series_csv(path)
 
+    @pytest.mark.parametrize("text", [
+        "true_scale,value_1,target\n1.5,2.0,3.0\n",  # the scale would be a window value
+        "value_1,value_2,target,true_scale,true_scale\n1,2,3,4,-1\n",  # the -1 would go unchecked
+        "value_1,value_2,target,target\n1,2,3,4\n",
+        "value_1,value_2,true_scale,target,true_scale\n1,2,3,4,5\n",
+    ], ids=["scale-before-target", "scale-twice", "target-twice", "scale-before-and-after"])
+    def test_header_holds_target_once_and_true_scale_after_it(self, tmp_path, text):
+        path = tmp_path / "header.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_series_csv(path)
+        assert str(info.value) == (
+            f"{path}: need one 'target' column and at most one 'true_scale' column after it"
+        )
+
+    def test_columns_after_true_scale_are_extra(self, tmp_path):
+        path = tmp_path / "extra.csv"
+        path.write_text("value_1,value_2,target,true_scale,weight\n1,2,3,4,5\n")
+        back = read_series_csv(path)
+        assert back.values.tolist() == [[1.0, 2.0]] and back.true_scale.tolist() == [4.0]
+
 
 VALID_CSV = (
     "value_1,value_2,value_3,target,true_scale\n"

@@ -1,10 +1,12 @@
 """The strict JSON loader, and the CLI's handling of malformed config and checkpoint files."""
 
+import ast
 import contextlib
 import copy
 import dataclasses
 import io
 import json
+import math
 import re
 import types
 import typing
@@ -83,15 +85,15 @@ class TestFieldTypes:
                 "config: unknown family 'sawtooth', expected one of "
                 "('periodic', 'spikes', 'trend', 'noise')")
 
-    def test_std_threshold_must_be_positive_and_finite(self):
+    def test_learning_rate_must_be_positive_and_finite(self):
         for bad in (0.0, -1.0):
-            with pytest.raises(ConfigError, match="std_threshold must be positive and finite"):
-                RunConfig(std_threshold=bad)
+            with pytest.raises(ConfigError, match="learning_rate must be positive"):
+                TrainConfig(learning_rate=bad)
         for bad, shown in ((float("nan"), "NaN"), (float("inf"), "Infinity")):
             with pytest.raises(ConfigError) as info:
-                RunConfig(std_threshold=bad)
-            assert str(info.value) == f"std_threshold: expected a finite number, got {shown}"
-        assert RunConfig(std_threshold=0.5).std_threshold == 0.5
+                TrainConfig(learning_rate=bad)
+            assert str(info.value) == f"learning_rate: expected a finite number, got {shown}"
+        assert TrainConfig(learning_rate=0.5).learning_rate == 0.5
 
     def test_model_pairs_are_objects_that_unpack_as_pairs(self):
         run = from_document(
@@ -193,9 +195,11 @@ def test_an_integer_for_a_float_field_writes_the_same_checkpoint(tmp_path):
 
 class TestLoadJson:
     @pytest.mark.parametrize("text, reason", [
-        ('{"std_threshold": NaN}', ".std_threshold: expected a finite number, got NaN"),
-        ('{"std_threshold": -Infinity}', ".std_threshold: expected a finite number, got -Infinity"),
-        ('{"std_threshold": 1e400}', ".std_threshold: expected a finite number, got Infinity"),
+        ('{"train": {"learning_rate": NaN}}', ".train.learning_rate: expected a finite number, got NaN"),
+        ('{"train": {"learning_rate": -Infinity}}',
+         ".train.learning_rate: expected a finite number, got -Infinity"),
+        ('{"train": {"learning_rate": 1e400}}',
+         ".train.learning_rate: expected a finite number, got Infinity"),
         ('{"k": 2,}', ": invalid JSON: Expecting property name enclosed in double quotes: "
                       "line 1 column 9 (char 8)"),
         ("", ": invalid JSON: Expecting value: line 1 column 1 (char 0)"),
@@ -229,7 +233,9 @@ PROBES = [
     ("run", '{"k": "4"}', 'run.json.k: expected an integer, got "4"'),
     ("run", '{"desk": "no"}', 'run.json.desk: expected true or false, got "no"'),
     ("run", '{"seeds": [1.7]}', "run.json.seeds[0]: expected an integer, got 1.7"),
-    ("run", '{"std_threshold": NaN}', "run.json.std_threshold: expected a finite number, got NaN"),
+    ("run", '{"train": {"learning_rate": NaN}}',
+     "run.json.train.learning_rate: expected a finite number, got NaN"),
+    ("run", '{"std_threshold": 1e-6}', "run.json.std_threshold: unknown key"),
     ("generator", '{"families": {"trend": 3}, "noise": []}',
      "generator.json.noise: expected an object, got []"),
     ("generator", '{"families": {"trend": 3}, "seed": 1.5}',
@@ -266,7 +272,7 @@ RUN_PATHS = {
     "train/validation_fraction": NUM, "train/batch_size": INT, "train/seed": INT,
     "train/learning_rate": NUM, "train/beta1": NUM, "train/beta2": NUM, "train/eps": NUM,
     "seeds": ARR, "seeds/0": INT, "desk": BOOL, "mc_samples": INT, "curve_points": INT,
-    "scatter_rows": INT, "k": INT, "std_threshold": NUM,
+    "scatter_rows": INT, "k": INT,
 }
 GENERATOR_BASE = {
     "families": {"trend": 3},
@@ -420,6 +426,76 @@ class TestLoadCsv:
         assert csv_outcome(load_csv, path) == csv_outcome(_scan_lines, path)
 
 
+# floats whose repr a format could get wrong, beside ints that must keep no ".0"
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 2.0 / 3.0]
+
+
+@pytest.mark.parametrize("write, text, table", [
+    (lambda path: documents.write_csv(path, ("n", "x"), enumerate(EDGE_FLOATS)),
+     "n,x\n0,nan\n1,inf\n2,-inf\n3,-0.0\n4,5e-324\n5,1.7976931348623157e+308\n6,0.1\n"
+     "7,0.6666666666666666\n",
+     np.column_stack([np.arange(len(EDGE_FLOATS)), EDGE_FLOATS])),
+    (lambda path: documents.write_json(path, {"b": [1, -0.0, math.nan], "a": {"z": None, "y": "\u00e9\n"}}),
+     '{\n  "a": {\n    "y": "\\u00e9\\n",\n    "z": null\n  },\n'
+     '  "b": [\n    1,\n    -0.0,\n    NaN\n  ]\n}\n',
+     None),
+], ids=["csv", "json"])
+def test_writers_give_the_format_byte_for_byte(tmp_path, write, text, table):
+    """Sorted keys, two-space indents and "\n" line ends; a CSV's floats read back bit for bit."""
+    path = tmp_path / "artifact"
+    write(path)
+    assert path.read_bytes() == text.encode()
+    if table is not None:
+        header, data = load_csv(path, "rows")
+        assert header == ["n", "x"] and data.tobytes() == table.tobytes()
+
+
+SOURCE = Path(__file__).parents[1] / "src" / "forecast_uq"
+WRITERS = {"dump", "dumps", "write_text", "write_bytes"}  # json's and pathlib's
+
+
+def file_writes(tree) -> list[int]:
+    """Lines that call ``open`` in a writing mode, ``json.dump``, ``json.dumps`` or a pathlib writer.
+
+    A mode that is not a string literal counts as writing, since it may be.
+    """
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name == "open":
+            positional = node.args[1] if len(node.args) > 1 else None
+            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"), positional)
+            reads = mode is None or isinstance(mode, ast.Constant) and set(mode.value).isdisjoint("wax")
+            writes = not reads
+        else:
+            writes = name in WRITERS
+        if writes:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_documents_writes_files():
+    """``documents.write_csv`` and ``documents.write_json`` own the on-disk format."""
+    found = {}
+    for module in sorted(SOURCE.rglob("*.py")):
+        if module.name != "documents.py":
+            lines = file_writes(ast.parse(module.read_text(encoding="utf-8")))
+            if lines:
+                found[str(module.relative_to(SOURCE))] = lines
+    assert found == {}
+
+
+def test_the_guard_sees_each_way_of_writing():
+    calls = ['open(p, "w")', 'open(p, mode="a")', 'open(p, "xb")', "open(p, m)", "json.dump(d, fh)",
+             "json.dumps(d)", "dumps(d)", "p.write_text(t)", "io.open(p, 'w')"]
+    for call in calls:
+        assert file_writes(ast.parse(call)) == [1], call
+    for call in ['open(p)', 'open(p, "r")', 'open(p, "rb")', 'open(p, mode="r", encoding="utf-8")']:
+        assert file_writes(ast.parse(call)) == [], call
+
+
 def _parts(path: str) -> list:
     return [int(part) if part.isdigit() else part for part in path.split("/") if part]
 
@@ -552,7 +628,7 @@ CLASSES = {"run": RunConfig, "generator": GeneratorConfig, "checkpoint": _Checkp
 @example(case=("run", "set", "seeds", [True]))
 @example(case=("run", "set", "models/0/backbone", 3))
 @example(case=("run", "set", "models/0", ["dense", "point"]))
-@example(case=("run", "set", "std_threshold", float("inf")))
+@example(case=("run", "set", "train/learning_rate", float("inf")))
 @example(case=("run", "set", "train/seed", 5))
 @example(case=("generator", "set", "families/trend", True))
 @example(case=("generator", "set", "noise/scale", float("nan")))
@@ -584,7 +660,7 @@ def test_valid_bases_run(cli_files):
 @example(case=("run", "set", "k", "4"))
 @example(case=("run", "set", "desk", "no"))
 @example(case=("run", "set", "seeds", [1.7]))
-@example(case=("run", "set", "std_threshold", float("nan")))
+@example(case=("run", "set", "train/learning_rate", float("nan")))
 @example(case=("generator", "set", "noise", []))
 @example(case=("generator", "set", "seed", 1.5))
 @example(case=("generator", "set", "noise/scale", True))
