@@ -22,7 +22,6 @@ import numpy as np
 
 from .cluster import kmeans
 from .data import (
-    DEFAULT_STD_THRESHOLD,
     GeneratorConfig,
     center_scale_normalize,
     generate_synthetic,
@@ -141,7 +140,7 @@ def _series_lines(path):
 
 def _read_dataset(path):
     with _series_lines(path):
-        return make_dataset(read_series_csv(path), DEFAULT_STD_THRESHOLD)
+        return make_dataset(read_series_csv(path))
 
 
 # -- generate -----------------------------------------------------------------
@@ -319,7 +318,7 @@ def cmd_cluster(run: RunConfig, data_path, out_dir, seed: int) -> None:
             f"set k in the run config (default {RunConfig.k})"
         )
     with _series_lines(data_path):
-        normalized = center_scale_normalize(series.values, DEFAULT_STD_THRESHOLD)
+        normalized = center_scale_normalize(series.values)
     result = kmeans(normalized, run.k, seed=seed)
     os.makedirs(out_dir, exist_ok=True)
 

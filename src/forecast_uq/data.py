@@ -107,16 +107,14 @@ class Dataset:
         return Dataset(self.x[rows], self.y[rows], self.values[rows], scale)
 
 
-def center_scale_normalize(z, std_threshold: float = DEFAULT_STD_THRESHOLD) -> np.ndarray:
-    """Center each series (last axis) by its mean; divide by the std when std >= std_threshold.
+def center_scale_normalize(z) -> np.ndarray:
+    """Center each series (last axis) by its mean; divide by its std when at least DEFAULT_STD_THRESHOLD.
 
     Uses the population (divide-by-T) standard deviation. Below the
     threshold a series is only centered, so near-constant series do
     not blow up. A series whose mean or std is not finite, such as finite
     values near 1e308 whose sum overflows, is a ``RowError`` naming it.
     """
-    if not std_threshold > 0.0:  # also rejects NaN
-        raise ValueError("std_threshold must be positive")
     z = np.asarray(z, dtype=np.float64)
     if z.ndim == 0 or z.shape[-1] < 2:
         raise ValueError("series needs at least 2 values")
@@ -126,23 +124,23 @@ def center_scale_normalize(z, std_threshold: float = DEFAULT_STD_THRESHOLD) -> n
     bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
     if bad.size:
         raise RowError(int(bad[0]), "mean or standard deviation is not finite")
-    return (z - mean) / np.where(std >= std_threshold, std, 1.0)
+    return (z - mean) / np.where(std >= DEFAULT_STD_THRESHOLD, std, 1.0)
 
 
-def featurize(values, std_threshold: float = DEFAULT_STD_THRESHOLD) -> np.ndarray:
+def featurize(values) -> np.ndarray:
     """Model inputs (N, T+2) of (N, T) windows: T normalized values, then raw mean, then raw std.
 
     ``center_scale_normalize`` rejects a window whose mean or std is not finite.
     """
     values = np.asarray(values, dtype=np.float64)
     return np.column_stack([
-        center_scale_normalize(values, std_threshold), values.mean(axis=1), values.std(axis=1)
+        center_scale_normalize(values), values.mean(axis=1), values.std(axis=1)
     ])
 
 
-def make_dataset(series: RawSeries, std_threshold: float = DEFAULT_STD_THRESHOLD) -> Dataset:
+def make_dataset(series: RawSeries) -> Dataset:
     return Dataset(
-        x=featurize(series.values, std_threshold),
+        x=featurize(series.values),
         y=series.target,
         values=series.values,
         true_scale=series.true_scale,

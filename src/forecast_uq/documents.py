@@ -13,9 +13,12 @@ numbers only, and every failure is a ``ConfigError`` reading
 ``<file>.<field path>: <reason>``. Each class calls ``check_kinds`` first
 in ``__post_init__``, so the rule holds in Python too; semantic checks follow.
 
-``load_csv`` reads a header line and rows of numbers; every failure is a
-``ValueError`` reading ``<file>, line <n>: <reason>``, or ``<file>: <reason>``
-when no single line is at fault.
+``load_csv`` reads a header line and rows of numbers in one pass: each data
+line's cell count is checked as the lines stream into one ``np.loadtxt``,
+and only a failure reads the file again, to name the fault. Every failure
+is a ``ValueError`` reading ``<file>, line <n>: <reason>``, or
+``<file>: <reason>`` when no single line is at fault. Both loaders read
+UTF-8 with universal newlines and skip a leading byte-order mark.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
-import itertools
 import json
 import math
 import sys
@@ -45,8 +47,8 @@ class _PathError(ConfigError):
 
 
 def load_json(path, cls):
-    """Parse the JSON file at ``path`` into a ``cls`` instance."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Parse the JSON file at ``path`` into a ``cls`` instance; a leading byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             raw = json.load(fh)
         except (ValueError, RecursionError) as exc:  # malformed, undecodable or too deep
@@ -67,78 +69,67 @@ def write_csv(path, header, rows) -> None:
         fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
-# bytes read at a time when counting a CSV file's lines
-_COUNT_BLOCK = 1 << 20
-
-
 def load_csv(path, rows: str) -> tuple[list[str], np.ndarray]:
     """The header cells and an (n, columns) float array of the CSV file at ``path``.
 
+    The data lines stream once through a cell count check into one
+    ``np.loadtxt``. On any failure the file is read again to name the fault.
     ``rows`` names the data rows in the message for a file that has none.
     """
-    parsed = _load_whole_file(path)
-    return parsed if parsed is not None else _scan_lines(path, rows)
-
-
-def _load_whole_file(path) -> tuple[list[str], np.ndarray] | None:
-    """``load_csv``'s result from one ``np.loadtxt`` over the open file, or None.
-
-    loadtxt skips blank lines and needs one cell count on every row, so an
-    array with the header's column count and one row per data line is the
-    array ``_scan_lines`` would return. Anything else is left to the scan
-    (None): a decode or parse error, no data line, a blank first data line
-    (loadtxt would warn of no data), or a carriage return, where the text
-    reader splits lines that the newline count misses.
-    """
-    newlines, last, carriage_return = 0, b"", False
-    with open(path, "rb") as fh:
-        while block := fh.read(_COUNT_BLOCK):
-            newlines += block.count(b"\n")
-            carriage_return = carriage_return or b"\r" in block
-            last = block[-1:]
-    data_lines = newlines + (last not in (b"", b"\n")) - 1  # the last line may lack its newline
-    if carriage_return or data_lines < 1:
-        return None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             header = fh.readline().removesuffix("\n").split(",")
-            first = fh.readline()
-            if first == "\n":
-                return None
-            data = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2)
-    except ValueError:  # UnicodeDecodeError included
-        return None
-    return (header, data) if data.shape == (data_lines, len(header)) else None
+            data = np.loadtxt(_checked(fh, len(header)), delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ValueError(_fault(path, rows, exc)) from None
+    return header, data
 
 
-def _scan_lines(path, rows: str) -> tuple[list[str], np.ndarray]:
-    """``load_csv`` line by line: the array, or the message that names the file and line."""
+def _checked(lines, width: int):
+    """``lines``; a ValueError at the first without ``width`` cells, or at the end if all are blank.
+
+    loadtxt skips a blank line, and would warn of no data if every line were blank.
+    """
+    blank = True
+    for line in lines:
+        if line.count(",") != width - 1:
+            raise ValueError("wrong cell count")
+        blank = blank and line == "\n"
+        yield line
+    if blank:
+        raise ValueError("no data line")
+
+
+def _fault(path, rows: str, exc: ValueError) -> str:
+    """The message for the first fault in the CSV file at ``path``, whose load raised ``exc``.
+
+    Bytes that are not UTF-8 come first, then a file with no data row, then a
+    wrong cell count anywhere, then the first cell numpy rejects.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")  # not utf-8-sig, so the offset counts a byte-order mark
+    except UnicodeDecodeError as bad:
+        return f"{path}: not UTF-8 text: {bad.reason} at byte {bad.start}"
+    # the lines text mode reads: universal newlines, no byte-order mark
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()
     # one column of blank lines is no rows either: loadtxt would skip them and warn
     if len(lines) < 2 or "," not in lines[0] and not any(lines[1:]):
-        raise ValueError(f"{path}: no {rows} after the header")
-    header = lines[0].split(",")
+        return f"{path}: no {rows} after the header"
+    width = lines[0].count(",") + 1
     for number, line in enumerate(lines[1:], start=2):
-        if line.count(",") != len(header) - 1:
-            raise ValueError(f"{path}, line {number}: {line.count(',') + 1} cells, header has {len(header)}")
-    try:
-        return header, np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        # parse line by line to find the first bad one, with numpy's reason
-        for number, line in enumerate(lines[1:], start=2):
-            try:
-                if line:  # loadtxt skips a blank line, and warns of no data when it is alone
-                    np.loadtxt([line], delimiter=",", comments=None)
-            except ValueError as line_exc:
-                reason = str(line_exc).replace(" at row 0, column ", " in column ")
-                raise ValueError(f"{path}, line {number}: {reason}") from None
-        raise ValueError(f"{path}: {exc}") from None
+        if line.count(",") != width - 1:
+            return f"{path}, line {number}: {line.count(',') + 1} cells, header has {width}"
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            if line:  # alone, a blank line would make loadtxt warn of no data
+                np.loadtxt([line], delimiter=",", comments=None)
+        except ValueError as line_exc:
+            reason = str(line_exc).replace(" at row 0, column ", " in column ")
+            return f"{path}, line {number}: {reason}"
+    return f"{path}: {exc}"
 
 
 def from_document(cls, raw, where: str):

@@ -1,6 +1,7 @@
 """The strict JSON loader, and the CLI's handling of malformed config and checkpoint files."""
 
 import ast
+import builtins
 import contextlib
 import copy
 import dataclasses
@@ -8,6 +9,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 import types
 import typing
 import warnings
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from forecast_uq import documents
 from forecast_uq.cli import ModelPair, RunConfig, main
 from forecast_uq.data import GeneratorConfig, generate_synthetic, write_series_csv
-from forecast_uq.documents import _key, _scan_lines, from_document, load_csv, load_json
+from forecast_uq.documents import _key, from_document, load_csv, load_json
 from forecast_uq.exceptions import ConfigError
 from forecast_uq.models import (
     ModelSpec,
@@ -213,6 +215,11 @@ class TestLoadJson:
             load_json(path, RunConfig)
         assert str(info.value) == f"{path}{reason}"
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_bytes(b"\xef\xbb\xbf" + b'{"k": 3}')
+        assert load_json(path, RunConfig).k == 3
+
     def test_undecodable_bytes(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_bytes(b"\xff{}")
@@ -339,21 +346,56 @@ def csv_outcome(load, path):
     return header, data.shape, data.tobytes()
 
 
-# a little over one 1 MB counting block of valid rows
+def _scan_lines(path, rows: str) -> tuple[list[str], np.ndarray]:
+    """The reference ``load_csv``: the whole file split into lines, each checked, then one loadtxt.
+
+    It gives the array, or the message that names the file and line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    if lines[-1] == "":
+        lines.pop()
+    # one column of blank lines is no rows either: loadtxt would skip them and warn
+    if len(lines) < 2 or "," not in lines[0] and not any(lines[1:]):
+        raise ValueError(f"{path}: no {rows} after the header")
+    header = lines[0].split(",")
+    for number, line in enumerate(lines[1:], start=2):
+        if line.count(",") != len(header) - 1:
+            raise ValueError(f"{path}, line {number}: {line.count(',') + 1} cells, header has {len(header)}")
+    try:
+        return header, np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        # parse line by line to find the first bad one, with numpy's reason
+        for number, line in enumerate(lines[1:], start=2):
+            try:
+                if line:  # loadtxt skips a blank line, and warns of no data when it is alone
+                    np.loadtxt([line], delimiter=",", comments=None)
+            except ValueError as line_exc:
+                reason = str(line_exc).replace(" at row 0, column ", " in column ")
+                raise ValueError(f"{path}, line {number}: {reason}") from None
+        raise ValueError(f"{path}: {exc}") from None
+
+
+# valid rows far past the text reader's first chunk, so a decode offset must count from byte 0
 BIG_CSV = b"a,b,c\n" + b"1.5,-2.0,3e2\n" * 90_000
 
 
 @st.composite
 def csv_files(draw):
-    """CSV bytes: a header of 1-3 columns, then rows that mostly fit it and sometimes do not."""
+    """CSV bytes: a header of 1-3 columns (an empty one is one column), then rows that mostly fit it."""
     width = draw(st.integers(1, 3))
     fitting = st.lists(st.sampled_from([b"1", b"-2.5", b"3e2", b"0.1", b"7"]),
                        min_size=width, max_size=width).map(b",".join)
     odd = st.sampled_from([b"1,2,3", b"1.5,-2", b"7", b"", b" ", b"nan,1e999,0x1",
                            b"1,,3", b"\xff,1", b"\xc3\xa9", b"\x00,1", b"4,5\r6,7"])
+    header = b"" if width == 1 and draw(st.booleans()) else b"a,b,c"[:2 * width - 1]
+    blanks = draw(st.lists(st.just(b""), max_size=2))  # blank lines right after the header
     rows = draw(st.lists(st.one_of(fitting, fitting, odd), max_size=6))
     newline = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
-    return newline.join([b"a,b,c"[:2 * width - 1], *rows]) + (newline if draw(st.booleans()) else b"")
+    return newline.join([header, *blanks, *rows]) + (newline if draw(st.booleans()) else b"")
 
 
 class TestLoadCsv:
@@ -376,8 +418,9 @@ class TestLoadCsv:
         (b"a\n1\n\n2\n", [[1.0], [2.0]]),  # one column: loadtxt skips the blank line
         (b"a\n\n", "{path}: no rows after the header"),  # one column, every data line blank
         (b"a\n\n\n\n", "{path}: no rows after the header"),
-        (BIG_CSV[:1_100_000] + b"\xff" + BIG_CSV[1_100_001:],
-         "{path}: not UTF-8 text: invalid start byte at byte 1100000"),
+        pytest.param(BIG_CSV[:1_100_000] + b"\xff" + BIG_CSV[1_100_001:],
+                     "{path}: not UTF-8 text: invalid start byte at byte 1100000", id="big-bad-byte"),
+        (b"\xef\xbb\xbfa,b\n1,\xff\n", "{path}: not UTF-8 text: invalid start byte at byte 9"),  # BOM counted
     ])
     def test_matches_the_line_scan(self, tmp_path, data, want):
         path = tmp_path / "table.csv"
@@ -393,15 +436,50 @@ class TestLoadCsv:
     @pytest.mark.parametrize("data, rows", [
         (b"a,b,c\n1.5,-2.0,3e2\n", 1),
         (b"a,b,c\n1.5,-2.0,3e2", 1),
-        (BIG_CSV, 90_000),
+        pytest.param(BIG_CSV, 90_000, id="big"),
     ])
-    def test_well_formed_files_skip_the_line_scan(self, tmp_path, monkeypatch, data, rows):
-        monkeypatch.setattr(documents, "_scan_lines", None)
+    def test_well_formed_files_are_opened_once(self, tmp_path, monkeypatch, data, rows):
         path = tmp_path / "table.csv"
         path.write_bytes(data)
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
         header, got = load_csv(path, "rows")
+        monkeypatch.undo()
+        assert opened == [path]
         assert header == ["a", "b", "c"]
         assert got.tobytes() == np.tile([1.5, -2.0, 300.0], (rows, 1)).tobytes()
+
+    def test_peak_memory_stays_near_the_array(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        row = ",".join(repr(0.1 * (i + 1) - 1.3) for i in range(26))
+        path.write_text(",".join(f"c{i}" for i in range(26)) + "\n" + f"{row}\n" * 20_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, data = load_csv(path, "rows")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.shape == (20_000, 26)
+        assert peak - before < 1.5 * data.nbytes
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        curve = ErrorKeepCurve(
+            threshold=np.array([0.5, 1.5]), keep_fraction=np.array([0.5, 1.0]),
+            mae=np.array([0.25, 0.75]), n_kept=np.array([1, 2]),
+        )
+        path = tmp_path / "curve.csv"
+        write_curve_csv(curve, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        back = read_curve_csv(path)
+        for name in ("threshold", "keep_fraction", "mae", "n_kept"):
+            assert getattr(back, name).tobytes() == getattr(curve, name).tobytes()
 
     @pytest.mark.filterwarnings("error")
     def test_curve_round_trip(self, tmp_path):
