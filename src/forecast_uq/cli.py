@@ -186,15 +186,10 @@ def cmd_train(run: RunConfig, data_path, out_dir, jobs: int = 1) -> list[str]:
             job_args.append((spec, config, str(data_path), str(out_dir)))
 
     stems = []
-    if jobs > 1:
-        # a fork pool starts every worker up front, so never ask for idle ones
-        with ProcessPoolExecutor(max_workers=min(jobs, len(job_args))) as pool:
-            for stem in pool.map(_train_job, *zip(*job_args)):
-                stems.append(stem)
-                print(f"trained {stem}")
-    else:
-        for args in job_args:
-            stem = _train_job(*args)
+    # a fork pool starts every worker up front, so never ask for idle ones
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(job_args))) if jobs > 1 else None
+    with pool or contextlib.nullcontext():
+        for stem in (pool.map if pool else map)(_train_job, *zip(*job_args)):
             stems.append(stem)
             print(f"trained {stem}")
     return stems
@@ -204,14 +199,13 @@ def cmd_train(run: RunConfig, data_path, out_dir, jobs: int = 1) -> list[str]:
 
 
 def _load_checkpoints(checkpoints_dir, data_path, data_shape, seeds_filter):
-    """Group checkpoint models as {(backbone, uncertainty): {seed: model}}.
+    """Map each checkpoint's model by (predictor, seed); a predictor is ``<backbone>_<uncertainty>``.
 
     A kept model whose input width differs from the features of
     ``data_path`` (shape ``data_shape``) raises ``ShapeError`` naming both files.
     """
-    groups: dict[tuple[str, str], dict[int, object]] = {}
-    names = sorted(os.listdir(checkpoints_dir))
-    for name in names:
+    models = {}
+    for name in sorted(os.listdir(checkpoints_dir)):
         if not name.endswith(".ckpt.json"):
             continue
         path = os.path.join(checkpoints_dir, name)
@@ -223,24 +217,20 @@ def _load_checkpoints(checkpoints_dir, data_path, data_shape, seeds_filter):
                 f"{path}: expected an (N, {model.spec.input_dim}) batch, "
                 f"got shape {data_shape} from {data_path}"
             )
-        key = (model.spec.backbone, model.spec.uncertainty)
-        by_seed = groups.setdefault(key, {})
-        if model.seed in by_seed:
-            raise ConfigError(f"duplicate checkpoint for {key} seed {model.seed}")
-        by_seed[model.seed] = model
-    return groups
+        pair = (model.spec.backbone, model.spec.uncertainty)
+        key = ("_".join(pair), model.seed)
+        if key in models:
+            raise ConfigError(f"duplicate checkpoint for {pair} seed {model.seed}")
+        models[key] = model
+    return models
 
 
-def _model_scores(model, x, y, var_scores, run: RunConfig):
-    """Yield (score_name, records) for every score this model supports."""
+def _forecasts(model, x, run: RunConfig):
+    """A model's (y_hat, scale, spread): ``predict``'s pair and None, or MC dropout's mean, None, std."""
     if model.spec.uncertainty == "mc_dropout":
-        y_hat, mc_std = mc_dropout_predict(model, x, run.mc_samples, seed=model.seed)
-        yield "mc_std", make_records(y, y_hat, mc_std)
-    else:
-        y_hat, scales = predict(model, x)
-        if model.spec.uncertainty == "heteroscedastic":
-            yield "predicted_scale", make_records(y, y_hat, scales)
-    yield "input_variance", make_records(y, y_hat, var_scores)
+        y_hat, spread = mc_dropout_predict(model, x, run.mc_samples, seed=model.seed)
+        return y_hat, None, spread
+    return (*predict(model, x), None)
 
 
 def _matrix_row(by_seed: dict[int, PredictionRecords]) -> dict[float, dict]:
@@ -261,21 +251,28 @@ def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filt
     dataset = _read_dataset(data_path)
     x, y = dataset.x, dataset.y
     var_scores = input_variance_score(dataset.values)
-    groups = _load_checkpoints(checkpoints_dir, data_path, x.shape, seeds_filter)
-    if not groups:
+    models = _load_checkpoints(checkpoints_dir, data_path, x.shape, seeds_filter)
+    if not models:
         seeds = "" if seeds_filter is None else " for seeds " + ",".join(map(str, sorted(seeds_filter)))
         raise ConfigError(f"{checkpoints_dir}: no checkpoints{seeds}")
     os.makedirs(out_dir, exist_ok=True)
 
-    # row name -> {seed: records}; each baseline is a one-seed row at seed 0
-    row_records: dict[str, dict[int, PredictionRecords]] = {}
-    for (backbone, uncertainty), by_seed in sorted(groups.items()):
-        for seed in sorted(by_seed):
-            for score_name, records in _model_scores(by_seed[seed], x, y, var_scores, run):
-                row_records.setdefault(f"{backbone}_{uncertainty}+{score_name}", {})[seed] = records
+    # (predictor, seed) -> (y_hat, scale, spread), each predicted once; a baseline sits at seed 0
+    table = {key: _forecasts(model, x, run) for key, model in sorted(models.items())}
     for kind in BASELINES:
-        records = make_records(y, baseline_predict(kind, dataset.values), var_scores)
-        row_records[f"baseline_{kind}+input_variance"] = {0: records}
+        table[f"baseline_{kind}", 0] = (baseline_predict(kind, dataset.values), None, None)
+
+    # row name -> {seed: records}; a row views each seed's forecasts through one score
+    row_records: dict[str, dict[int, PredictionRecords]] = {}
+    for (predictor, seed), (y_hat, scale, spread) in table.items():
+        scores = {"input_variance": var_scores}
+        if spread is not None:
+            scores = {"mc_std": spread, **scores}
+        elif predictor.endswith("_heteroscedastic"):
+            scores = {"predicted_scale": scale, **scores}
+        for score_name, score in scores.items():
+            records = make_records(y, y_hat, score)
+            row_records.setdefault(f"{predictor}+{score_name}", {})[seed] = records
 
     rows = {}
     for row_name, by_seed in row_records.items():

@@ -48,9 +48,10 @@ class _PathError(ConfigError):
 
 def load_json(path, cls):
     """Parse the JSON file at ``path`` into a ``cls`` instance; a leading byte-order mark is skipped."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            # not utf-8-sig: one decode of the whole file counts a bad byte's offset from its first byte
+            raw = json.loads(fh.read().removeprefix("\ufeff"))
         except (ValueError, RecursionError) as exc:  # malformed, undecodable or too deep
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return from_document(cls, raw, str(path))

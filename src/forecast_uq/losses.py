@@ -49,7 +49,7 @@ def elu_plus_one(x):
     if isinstance(x, Tensor):
         # the tape chain elu(x) + 1.0 as one op
         neg = x.data < 0.0
-        elu = np.where(neg, np.expm1(x.data), x.data)
+        elu = np.where(neg, np.expm1(np.minimum(x.data, 0.0)), x.data)
         return _record_op((x,), elu + 1.0, lambda g: (g * np.where(neg, elu + 1.0, 1.0),))
     x = np.asarray(x, dtype=np.float64)
     # (e^x - 1) + 1 written as e^x: the naive form cancels to exactly 0.0 once

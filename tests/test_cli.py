@@ -1,5 +1,6 @@
 """End-to-end command tests driven through main() in process."""
 
+import dataclasses
 import json
 import math
 import os
@@ -223,8 +224,24 @@ class TestEvaluate:
                      "--data", str(workspace["data"]),
                      "--checkpoints", str(dupes), "--out", str(tmp_path / "out")])
         assert code == 1
-        assert "duplicate" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: duplicate checkpoint for ('dense', 'point') seed 0\n"
 
+    def test_each_model_and_seed_is_predicted_once(self, workspace, tmp_path, monkeypatch):
+        grid = tuple(cli.ModelPair("dense", uncertainty) for uncertainty in cli.UNCERTAINTIES)
+        run = dataclasses.replace(load_json(workspace["run_config"], cli.RunConfig), models=grid)
+        cli.cmd_train(run, workspace["data"], tmp_path / "ckpts")
+        calls = {"predict": 0, "mc_dropout_predict": 0, "baseline_predict": 0}
+        for name in calls:
+            def counted(*args, _wrapped=getattr(cli, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _wrapped(*args, **kwargs)
+            monkeypatch.setattr(cli, name, counted)
+        rows = cli.cmd_evaluate(run, tmp_path / "ckpts", workspace["data"], tmp_path / "eval")
+        # three non-dropout modes and one dropout mode, at seeds 0 and 1; one call per baseline
+        assert calls == {"predict": 6, "mc_dropout_predict": 2, "baseline_predict": 3}
+        # an input-variance row per mode, predicted_scale and mc_std, three baselines
+        assert len(rows) == 4 + 2 + 3
 
     @pytest.mark.parametrize("seeds, suffix", [(None, ""), ("7,5", " for seeds 5,7")])
     def test_no_checkpoints_fails_before_writing(self, workspace, tmp_path, capsys, seeds,

@@ -226,6 +226,19 @@ class TestLoadJson:
         with pytest.raises(ConfigError, match="run.json: invalid JSON: 'utf-8' codec"):
             load_json(path, RunConfig)
 
+    @pytest.mark.parametrize("prefix, position", [
+        (b"", 6),
+        (b"\xef\xbb\xbf", 9),  # the byte-order mark is counted, as load_csv counts it
+        (b"\xef\xbb\xbf" + b" " * 20000, 20009),
+    ], ids=["plain", "bom", "bom_then_20000_spaces"])
+    def test_undecodable_byte_offset_counts_from_the_first_byte(self, tmp_path, prefix, position):
+        path = tmp_path / "run.json"
+        path.write_bytes(prefix + b'{"k": \xff}')
+        with pytest.raises(ConfigError) as info:
+            load_json(path, RunConfig)
+        assert str(info.value) == (f"{path}: invalid JSON: 'utf-8' codec can't decode byte 0xff "
+                                   f"in position {position}: invalid start byte")
+
     def test_readme_run_config_loads(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)

@@ -58,6 +58,16 @@ class TestEluPlusOne:
         out = elu_plus_one(Tensor(x))
         np.testing.assert_allclose(out.data, elu_plus_one(x), rtol=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    def test_taped_large_pre_activation_does_not_overflow(self):
+        # e^800 overflows, but the positive branch never reads it
+        x = Tensor(np.array([[-1.0, 800.0]]), requires_grad=True)
+        with GradientTape() as tape:
+            out = elu_plus_one(x)
+            total = ops.sum(out)
+        np.testing.assert_array_equal(out.data, [[math.exp(-1.0), 801.0]])
+        np.testing.assert_array_equal(tape.gradients(total, [x])[x], [[math.exp(-1.0), 1.0]])
+
 
 class TestLaplaceNll:
     def test_zero_residual_unit_scale_is_zero(self):
