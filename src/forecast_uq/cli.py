@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -449,10 +450,39 @@ def _main_cluster(args) -> int:
     return 0
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")  # OpenBLAS honours each
+_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS numpy loaded, or None if none is found."""
+    core = sys.modules.get("numpy._core._multiarray_umath") or sys.modules.get("numpy.core._multiarray_umath")
+    for symbol in _THREAD_SYMBOLS:
+        with contextlib.suppress(AttributeError, OSError):  # no numpy core library, or no such symbol
+            lib = ctypes.CDLL(core.__file__)
+            return (ctypes.CFUNCTYPE(ctypes.c_int)((symbol.format("get"), lib)),
+                    ctypes.CFUNCTYPE(None, ctypes.c_int)((symbol.format("set"), lib)))
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread unless a variable above chose the count, then restore the caller's."""
+    calls = None if any(map(os.environ.get, _THREAD_VARS)) else _openblas_threads()
+    get, set_threads = calls or (lambda: None, lambda count: None)
+    before = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a second BLAS thread makes large GEMMs wait for it on a busy machine; forked jobs inherit one
+        with _one_blas_thread():
+            return args.func(args)
     except (ConfigError, ShapeError, TrainingError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,6 @@
-"""Prints one verdict line per acceptance criterion after the run."""
+"""Prints the numpy and BLAS set-up before the run and one verdict line per acceptance criterion after it."""
+
+import contextlib
 
 ACCEPTANCE_TESTS = {
     "test_criterion_1_gradient_correctness": (1, "analytic gradients match finite differences"),
@@ -11,6 +13,21 @@ ACCEPTANCE_TESTS = {
     "test_criterion_8_baselines_sanity": (8, "trained model beats naive baselines"),
     "test_criterion_9_determinism": (9, "byte-identical datasets and checkpoints"),
 }
+
+
+def pytest_report_header(config):
+    """numpy, its BLAS and the OpenBLAS thread count in effect, which every timing depends on."""
+    import numpy as np
+
+    blas = threads = "unknown"
+    # the header must not stop the run: an older numpy, broken package code or no known symbol
+    with contextlib.suppress(Exception):
+        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{info.get('name')} {info.get('version')}"
+        from forecast_uq.cli import _openblas_threads
+
+        threads = _openblas_threads()[0]()
+    return f"numpy {np.__version__}, BLAS {blas}, OpenBLAS threads {threads}"
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -17,6 +17,7 @@ from forecast_uq import cli
 from forecast_uq.cli import OUT_ENV_VAR, main
 from forecast_uq.data import read_series_csv
 from forecast_uq.documents import load_json
+from forecast_uq.exceptions import ConfigError
 
 GENERATOR = {
     "families": {"trend": 30, "noise": 30},
@@ -532,3 +533,174 @@ def test_jobs_is_a_train_only_flag(argv, tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(argv + ["--out", str(tmp_path / "out.csv"), "--jobs", "2"])
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+# -- BLAS threads ---------------------------------------------------------------
+
+SRC = str(Path(forecast_uq.__file__).parents[1])
+
+
+def _env_without_thread_vars(**extra):
+    env = {k: v for k, v in os.environ.items() if k not in cli._THREAD_VARS}
+    return {**env, "PYTHONPATH": SRC, **extra}
+
+
+@pytest.fixture
+def blas_threads(monkeypatch):
+    """numpy's OpenBLAS thread-count getter, with the caller on two threads and no thread variable set."""
+    calls = cli._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy's BLAS exports no known thread-count function")
+    for name in cli._THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    get, set_threads = calls
+    before = get()
+    set_threads(2)
+    yield get
+    set_threads(before)
+
+
+def _record_threads(monkeypatch, command, get, error=None):
+    """Replace ``cli.<command>`` by a stand-in that records the thread count it runs on."""
+    counts = []
+    real = getattr(cli, command)
+
+    def recording(*args, **kwargs):
+        counts.append(get())
+        if error is not None:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, command, recording)
+    return counts
+
+
+class TestBlasThreads:
+    def test_a_command_runs_on_one_thread_and_restores_the_callers_count(
+            self, blas_threads, workspace, tmp_path, monkeypatch):
+        counts = _record_threads(monkeypatch, "cmd_generate", blas_threads)
+        assert main(["generate", "--config", str(workspace["gen_config"]),
+                     "--out", str(tmp_path / "data.csv")]) == 0
+        assert counts == [1]
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("error, code", [(ConfigError("bad"), 1), (RuntimeError("crash"), None)],
+                             ids=["exit-1", "uncaught"])
+    def test_the_callers_count_comes_back_after_an_error(self, error, code, blas_threads, workspace,
+                                                         tmp_path, monkeypatch, capsys):
+        counts = _record_threads(monkeypatch, "cmd_cluster", blas_threads, error)
+        argv = ["cluster", "--data", str(workspace["data"]), "--out", str(tmp_path / "out")]
+        if code is None:
+            with pytest.raises(RuntimeError, match="crash"):
+                main(argv)
+        else:
+            assert main(argv) == code
+            assert capsys.readouterr().err == "error: bad\n"
+        assert counts == [1]
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_a_thread_variable_leaves_the_count_alone(self, name, blas_threads, workspace, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setenv(name, "2")
+        counts = _record_threads(monkeypatch, "cmd_generate", blas_threads)
+        assert main(["generate", "--config", str(workspace["gen_config"]),
+                     "--out", str(tmp_path / "data.csv")]) == 0
+        assert counts == [2]
+        assert blas_threads() == 2
+
+    def test_openblas_num_threads_at_start_up_wins(self, blas_threads, workspace, tmp_path):
+        # OpenBLAS caps the variable at the core count, so compare with what it read at start-up
+        script = (
+            "import sys\n"
+            "from forecast_uq import cli\n"
+            "get = cli._openblas_threads()[0]\n"
+            "outside, real = get(), cli.cmd_generate\n"
+            "cli.cmd_generate = lambda *args: print(outside, get()) or real(*args)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        argv = ["generate", "--config", str(workspace["gen_config"]), "--out", str(tmp_path / "d.csv")]
+        done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                              env=_env_without_thread_vars(OPENBLAS_NUM_THREADS="2"), timeout=120)
+        assert done.returncode == 0, done.stderr
+        outside, inside = map(int, done.stdout.split()[:2])
+        assert inside == outside == min(2, len(os.sched_getaffinity(0)))
+
+    def test_jobs_workers_train_on_one_thread(self, blas_threads, workspace, tmp_path):
+        # the wrapper is installed at import, so a worker that re-imported this
+        # script instead of forking would run it on numpy's default count
+        script = tmp_path / "train_on_one_thread.py"
+        script.write_text(
+            "import os, sys\n"
+            "from forecast_uq import cli\n"
+            "from forecast_uq.exceptions import TrainingError\n"
+            "get, real_train = cli._openblas_threads()[0], cli.train\n"
+            "\n"
+            "def train(*args, **kwargs):\n"
+            "    count = get()\n"
+            "    with open(sys.argv[1], 'a') as log:\n"
+            "        log.write(f'{os.getpid()} {count}\\n')\n"
+            "    if count != 1:\n"
+            "        raise TrainingError(f'a job trained on {count} BLAS threads')\n"
+            "    return real_train(*args, **kwargs)\n"
+            "\n"
+            "cli.train = train\n"
+            "if __name__ == '__main__':\n"
+            "    print(os.getpid())\n"
+            "    sys.exit(cli.main(sys.argv[2:]))\n"
+        )
+        log = tmp_path / "jobs.log"
+        argv = ["train", "--config", str(workspace["run_config"]), "--data", str(workspace["data"]),
+                "--out", str(tmp_path / "ckpts"), "--jobs", "2"]
+        done = subprocess.run([sys.executable, str(script), str(log), *argv], capture_output=True,
+                              text=True, env=_env_without_thread_vars(), timeout=300)
+        assert done.returncode == 0, done.stderr
+        jobs = [line.split() for line in log.read_text().splitlines()]
+        assert len(jobs) == 4 and {count for _, count in jobs} == {"1"}
+        assert done.stdout.split()[0] not in {pid for pid, _ in jobs}
+        for name in ("dense_point_seed0.ckpt.json", "dense_heteroscedastic_seed1.ckpt.json"):
+            assert (tmp_path / "ckpts" / name).read_bytes() == (workspace["ckpts"] / name).read_bytes()
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 4000 held-out series of length 24: the first dense layer is a 4000x26 @ 26x32
+    # GEMM, large enough that OpenBLAS splits it when it has two threads
+    generator = {"series_length": 24, "amplitude_range": [10.0, 100.0],
+                 "noise": {"law": "uniform", "low": 1.0, "high": 10.0}}
+    (tmp_path / "train.json").write_text(json.dumps(
+        {**generator, "families": {name: 100 for name in ("periodic", "spikes", "trend", "noise")}}))
+    (tmp_path / "heldout.json").write_text(json.dumps(
+        {**generator, "families": {name: 1000 for name in ("periodic", "spikes", "trend", "noise")},
+         "seed": 1}))
+    (tmp_path / "run.json").write_text(json.dumps({
+        "models": [{"backbone": b, "uncertainty": u} for b, u in
+                   [("dense", "point"), ("dense", "heteroscedastic"), ("lstm", "mc_dropout")]],
+        "train": {"max_epochs": 2, "patience": 2}, "seeds": [0], "desk": True, "mc_samples": 3,
+    }))
+    script = (
+        "import sys\n"
+        "from forecast_uq.cli import main\n"
+        "c = sys.argv[1]\n"
+        "runs = [\n"
+        "    ['generate', '--config', f'{c}/train.json', '--out', 'train.csv'],\n"
+        "    ['generate', '--config', f'{c}/heldout.json', '--out', 'heldout.csv'],\n"
+        "    ['train', '--config', f'{c}/run.json', '--data', 'train.csv', '--out', 'ckpt'],\n"
+        "    ['evaluate', '--config', f'{c}/run.json', '--data', 'heldout.csv', '--checkpoints', 'ckpt',\n"
+        "     '--out', 'eval'],\n"
+        "    ['cluster', '--config', f'{c}/run.json', '--data', 'heldout.csv', '--out', 'clusters'],\n"
+        "]\n"
+        "for argv in runs:\n"
+        "    assert main(argv) == 0, argv[0]\n"
+    )
+    outputs = {}
+    for side, extra in (("two", {"OPENBLAS_NUM_THREADS": "2"}), ("policy", {})):
+        out = tmp_path / side
+        out.mkdir()
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], cwd=out, capture_output=True,
+                              text=True, env=_env_without_thread_vars(**extra), timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs[side] = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        outputs[side]["stdout"] = done.stdout.encode()
+    # two datasets, three checkpoints and histories, the evaluate and cluster outputs, stdout
+    assert len(outputs["policy"]) == 2 + 6 + 10 + 3 + 1
+    assert outputs["two"] == outputs["policy"]
