@@ -317,6 +317,7 @@ def cmd_cluster(run: RunConfig, data_path, out_dir, seed: int) -> None:
         )
     with _series_lines(data_path):
         normalized = center_scale_normalize(series.values)
+    del series  # the raw table need not live through k-means
     result = kmeans(normalized, run.k, seed=seed)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -333,7 +334,7 @@ def cmd_cluster(run: RunConfig, data_path, out_dir, seed: int) -> None:
         "n_iter": result.n_iter,
     }
     write_json(os.path.join(out_dir, "cluster_summary.json"), summary)
-    print(f"clustered {len(series)} series into {run.k} groups, inertia {result.inertia:.4f}")
+    print(f"clustered {len(normalized)} series into {run.k} groups, inertia {result.inertia:.4f}")
 
 
 # -- argument plumbing ---------------------------------------------------------

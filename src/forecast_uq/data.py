@@ -107,15 +107,11 @@ class Dataset:
         return Dataset(self.x[rows], self.y[rows], self.values[rows], scale)
 
 
-def center_scale_normalize(z) -> np.ndarray:
-    """Center each series (last axis) by its mean; divide by its std when at least DEFAULT_STD_THRESHOLD.
-
-    Uses the population (divide-by-T) standard deviation. Below the
-    threshold a series is only centered, so near-constant series do
-    not blow up. A series whose mean or std is not finite, such as finite
-    values near 1e308 whose sum overflows, is a ``RowError`` naming it.
-    """
+def _normalized(z, moments: bool = False) -> np.ndarray:
+    """``center_scale_normalize(z)``, then each series' raw mean and std as two columns if ``moments``."""
     z = np.asarray(z, dtype=np.float64)
+    if moments and z.ndim != 2:
+        raise ValueError(f"need (N, T) windows, got shape {z.shape}")
     if z.ndim == 0 or z.shape[-1] < 2:
         raise ValueError("series needs at least 2 values")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -124,18 +120,31 @@ def center_scale_normalize(z) -> np.ndarray:
     bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
     if bad.size:
         raise RowError(int(bad[0]), "mean or standard deviation is not finite")
-    return (z - mean) / np.where(std >= DEFAULT_STD_THRESHOLD, std, 1.0)
+    out = np.empty(z.shape[:-1] + (z.shape[-1] + 2 * moments,))  # after std's full-size temporary is freed
+    normalized = np.subtract(z, mean, out=out[..., :z.shape[-1]])
+    np.divide(normalized, np.where(std >= DEFAULT_STD_THRESHOLD, std, 1.0), out=normalized)
+    if moments:
+        out[..., -2], out[..., -1] = mean[..., 0], std[..., 0]
+    return out
+
+
+def center_scale_normalize(z) -> np.ndarray:
+    """Center each series (last axis) by its mean; divide by its std when at least DEFAULT_STD_THRESHOLD.
+
+    Uses the population (divide-by-T) standard deviation. Below the
+    threshold a series is only centered, so near-constant series do
+    not blow up. A series whose mean or std is not finite, such as finite
+    values near 1e308 whose sum overflows, is a ``RowError`` naming it.
+    """
+    return _normalized(z)
 
 
 def featurize(values) -> np.ndarray:
     """Model inputs (N, T+2) of (N, T) windows: T normalized values, then raw mean, then raw std.
 
-    ``center_scale_normalize`` rejects a window whose mean or std is not finite.
+    Each window's mean and std are computed once; a non-finite one is a ``RowError``.
     """
-    values = np.asarray(values, dtype=np.float64)
-    return np.column_stack([
-        center_scale_normalize(values), values.mean(axis=1), values.std(axis=1)
-    ])
+    return _normalized(values, moments=True)
 
 
 def make_dataset(series: RawSeries) -> Dataset:

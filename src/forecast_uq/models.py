@@ -352,7 +352,7 @@ def baseline_predict(kind: str, values) -> np.ndarray:
     if kind == "zero":
         return np.zeros(values.shape[:-1])
     if kind == "last":
-        return values[..., -1]
+        return values[..., -1].copy()
     raise ValueError(f"unknown baseline {kind!r}, expected one of {BASELINES}")
 
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 import forecast_uq
 from forecast_uq import cli
 from forecast_uq.cli import OUT_ENV_VAR, main
-from forecast_uq.data import read_series_csv
+from forecast_uq.data import RawSeries, read_series_csv, write_series_csv
 from forecast_uq.documents import load_json
 from forecast_uq.exceptions import ConfigError
 
@@ -297,6 +298,30 @@ class TestCluster:
         assert doc["k"] == 4
         assert doc["inertia"] >= 0.0
         assert doc["n_iter"] >= 1
+
+
+def test_cluster_holds_only_the_normalized_windows_in_k_means(tmp_path, monkeypatch, capsys):
+    values = np.random.default_rng(8).normal(size=(20_000, 25)) * 30.0
+    data = tmp_path / "wide.csv"
+    write_series_csv(RawSeries(values[:, :-1], values[:, -1], np.ones(20_000)), data)
+    entered = []
+
+    def traced_kmeans(normalized, k, seed):
+        entered.append((tracemalloc.get_traced_memory()[0], normalized.nbytes))
+        return kmeans(normalized, k, seed)
+
+    kmeans = cli.kmeans
+    monkeypatch.setattr(cli, "kmeans", traced_kmeans)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli.cmd_cluster(cli.RunConfig(k=4), data, tmp_path / "out", seed=0)
+    finally:
+        tracemalloc.stop()
+    [(in_use, normalized_bytes)] = entered
+    # the file's (N, T+2) table is gone: only the normalized copy and a few (N,) arrays are left
+    assert in_use - before <= 1.5 * normalized_bytes
+    assert capsys.readouterr().out.startswith("clustered 20000 series into 4 groups")
 
 
 BAD_HEADER = ": need one 'target' column and at most one 'true_scale' column after it"

@@ -2,6 +2,8 @@
 
 import pickle
 import random
+import re
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -42,6 +44,63 @@ def small_config(**overrides) -> GeneratorConfig:
     }
     base.update(overrides)
     return GeneratorConfig(**base)
+
+
+def quotient_normalize(z):
+    """``center_scale_normalize`` as one quotient of full-size temporaries, the reference for its bits."""
+    std = z.std(axis=-1, keepdims=True)
+    return (z - z.mean(axis=-1, keepdims=True)) / np.where(std >= DEFAULT_STD_THRESHOLD, std, 1.0)
+
+
+def column_stack_featurize(values):
+    """``featurize`` as the normalized block stacked beside fresh moments, the reference for its bits."""
+    return np.column_stack([quotient_normalize(values), values.mean(axis=1), values.std(axis=1)])
+
+
+def bit_cases():
+    """Windows whose statistics are finite, each an (N, T) array as the readers pass it."""
+    rng = np.random.default_rng(11)
+    below = rng.normal(size=(30, 24))
+    below[::3] *= 1e-7  # std below the threshold: centered only
+    below[1] = 5.0
+    signed = np.zeros((6, 8))
+    signed[0] = -0.0
+    signed[1, ::2] = -0.0
+    signed[2] = [-0.0, 1.0] * 4
+    signed[3, 0] = -0.0
+    huge = np.array([[1e300] * 24, [-1.7e300] * 24, [1e153, -1e153] * 12, [1e-300, 3e-300] * 12, [2.0] * 24])
+    wide = rng.normal(size=(40, 26)) * 30.0 + 50.0
+    return {
+        "random": rng.normal(size=(200, 24)) * rng.uniform(1.0, 100.0, size=(200, 1)),
+        "below-threshold": below,
+        "negative-zero": signed,
+        "near-1e300": huge,
+        "one-window-of-two": np.array([[3.0, -7.5]]),
+        "strided-columns": wide[:, :24],  # read_series_csv's values: a column slice of the file's table
+    }
+
+
+@pytest.mark.parametrize("name", list(bit_cases()))
+def test_one_array_keeps_the_bits_of_the_quotient_and_the_column_stack(name):
+    values = bit_cases()[name]
+    with np.errstate(over="raise", invalid="raise"):
+        assert np.isfinite(values.std(axis=1)).all()  # the case reaches the arithmetic, not the RowError
+    assert center_scale_normalize(values).tobytes() == quotient_normalize(values).tobytes()
+    assert featurize(values).tobytes() == column_stack_featurize(values).tobytes()
+    for row in values:
+        assert center_scale_normalize(row).tobytes() == quotient_normalize(row).tobytes()
+
+
+def test_overflowing_row_is_named_by_the_first_non_finite_statistic():
+    z = np.ones((8, 24))
+    z[5] = [1e300, -1e300] * 12
+    z[6] = [3e307] * 24
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.flatnonzero(~(np.isfinite(z.mean(axis=1)) & np.isfinite(z.std(axis=1))))[0]
+    for transform in (center_scale_normalize, featurize):
+        with pytest.raises(RowError) as info:
+            transform(z)
+        assert info.value.row == want == 5
 
 
 class TestCenterScaleNormalize:
@@ -97,9 +156,7 @@ class TestCenterScaleNormalize:
         rng = np.random.default_rng(6)
         z = rng.normal(size=(50, 12)) * np.logspace(-150, 150, 50)[:, None]
         z[3] = 1e-300  # below the threshold: centered only
-        std = z.std(axis=-1, keepdims=True)
-        want = (z - z.mean(axis=-1, keepdims=True)) / np.where(std >= DEFAULT_STD_THRESHOLD, std, 1.0)
-        assert center_scale_normalize(z).tobytes() == want.tobytes()
+        assert center_scale_normalize(z).tobytes() == quotient_normalize(z).tobytes()
 
 
 class TestFeaturize:
@@ -131,6 +188,23 @@ class TestFeaturize:
             if row[-1] >= DEFAULT_STD_THRESHOLD:
                 assert abs(row[:-2].mean()) < 1e-9
                 assert abs(row[:-2].std() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("shape", [(24,), (3, 4, 24), ()], ids=["1-D", "3-D", "0-D"])
+    def test_windows_must_be_two_dimensional(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"need (N, T) windows, got shape {shape}")):
+            featurize(np.ones(shape))
+
+    def test_peak_memory_stays_near_the_features(self):
+        values = np.random.default_rng(4).normal(size=(20_000, 24)) * 40.0
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            x = featurize(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (N, T+2) result, not the normalized block, a quotient temporary and a stacked copy
+        assert peak - before <= 1.25 * x.nbytes
 
     def test_rows_match_one_series_at_a_time(self):
         series = generate_synthetic(small_config())

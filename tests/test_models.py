@@ -277,6 +277,15 @@ class TestBaselines:
         scores = input_variance_score(values)
         assert all(scores[i] == input_variance_score(row) for i, row in enumerate(values))
 
+    @pytest.mark.parametrize("kind", ["mean", "zero", "last"])
+    def test_forecast_is_its_own_array(self, kind):
+        values = np.random.default_rng(2).normal(size=(30, 12))
+        result = baseline_predict(kind, values)
+        kept = result.copy()
+        assert not np.shares_memory(result, values)
+        values[:] = 7.0
+        assert result.tobytes() == kept.tobytes()
+
     def test_unknown_baseline_rejected(self):
         with pytest.raises(ValueError):
             baseline_predict("median", np.array([[1.0, 2.0]]))
