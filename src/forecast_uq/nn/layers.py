@@ -197,9 +197,9 @@ class LstmCell:
         against it into gate-major (4, batch, hidden) blocks, one sigmoid
         over the three sigmoid gates and one tanh over the candidate, all
         in preallocated buffers. Only a call that goes on a tape keeps the
-        per-step ``[h, x_t]``, gates, cell states and their tanh; its
-        vector-Jacobian product runs backpropagation through time with
-        one GEMM per step and one weight-gradient GEMM over all steps.
+        per-step gates and cell states; its vector-Jacobian product rebuilds
+        ``[h, x_t]`` and ``tanh(c_t)`` from them, runs backpropagation through
+        time with one GEMM per step and one weight-gradient GEMM over all steps.
         """
         x = as_tensor(x)
         hid, n_in = self.hidden_dim, self.input_dim
@@ -215,19 +215,18 @@ class LstmCell:
         w_gates = w.reshape(4, hid, hid + n_in).transpose(0, 2, 1)
         b_gates = np.concatenate([p.data for p in params[4:]]).reshape(4, 1, hid)
 
-        # one slot per step when recording, else one slot reused by every step;
-        # cells[0] is the zero initial state
+        # gates and cells get one slot per step when recording, else one slot
+        # reused by every step; cells[0] is the zero initial state
         kept = n_steps if record else 1
-        hx_all = np.empty((kept, n_rows, hid + n_in))
         gates = np.empty((kept, 4, n_rows, hid))
         cells = np.zeros((n_steps + 1 if record else 1, n_rows, hid))
-        tanh_cells = np.empty((kept, n_rows, hid))
+        hx = np.empty((n_rows, hid + n_in))
+        tanh_c = np.empty((n_rows, hid))
         seq = np.empty((n_steps, n_rows, hid)) if return_sequence else None
         h = np.zeros((n_rows, hid))
         scratch = np.empty((n_rows, hid))
         for t in range(n_steps):
-            k = t if record else 0
-            hx, a, tanh_c = hx_all[k], gates[k], tanh_cells[k]
+            a = gates[t if record else 0]
             c_prev, c = (cells[t], cells[t + 1]) if record else (cells[0], cells[0])
             hx[:, :hid] = h
             hx[:, hid:] = x.data[t]
@@ -250,13 +249,19 @@ class LstmCell:
         def vjp(grad):
             d_gates = np.empty((n_steps, n_rows, 4 * hid))
             d_x = np.empty(x.shape)
+            # [h_{t-1}, x_t] per step; the loop fills h_{t-1} = o * tanh(c) as the forward did
+            hx_all = np.empty((n_steps, n_rows, hid + n_in))
+            hx_all[0, :, :hid] = 0.0
+            hx_all[:, :, hid:] = x.data
             dh = np.zeros((n_rows, hid)) if return_sequence else grad
             dc = np.zeros((n_rows, hid))
             for t in reversed(range(n_steps)):
                 if return_sequence:
                     dh = dh + grad[t]
                 f, i, o, g = gates[t]
-                tanh_c = tanh_cells[t]
+                tanh_c = np.tanh(cells[t + 1])
+                if t + 1 < n_steps:
+                    np.multiply(o, tanh_c, out=hx_all[t + 1, :, :hid])
                 da = d_gates[t].reshape(n_rows, 4, hid)
                 dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
                 da[:, 0] = dc * cells[t] * f * (1.0 - f)

@@ -180,7 +180,9 @@ class TestLstmCell:
         rng = np.random.default_rng(11)
         cell = LstmCell.create(1, 16, rng)
         x = rng.normal(size=(200, 100, 1))
-        step_cache = 100 * (17 + 4 * 16 + 2 * 16) * 8  # [h, x_t], gates, c_t, tanh(c_t)
+        # one step's [h, x_t], gates, c_t and tanh(c_t): a call outside a tape reuses one
+        # set; a taped call keeps the gates and c_t of every step
+        step_cache = 100 * (17 + 4 * 16 + 2 * 16) * 8
         tracemalloc.start()
         try:
             cell.run(x)
@@ -189,6 +191,38 @@ class TestLstmCell:
             tracemalloc.stop()
         # caching every step would hold 200 step caches at once
         assert peak < 20 * step_cache
+
+    @pytest.mark.parametrize("return_sequence", [False, True])
+    def test_taped_run_keeps_only_gates_and_cell_states(self, return_sequence):
+        n_steps, n_rows, hid, n_in = 50, 64, 16, 16
+        rng = np.random.default_rng(12)
+        cell = LstmCell.create(n_in, hid, rng)
+        x = Tensor(rng.normal(size=(n_steps, n_rows, n_in)), requires_grad=True)
+        params = list(cell.parameters().values()) + [x]
+        gates = n_steps * 4 * n_rows * hid * 8
+        cells = (n_steps + 1) * n_rows * hid * 8
+        tracemalloc.start()
+        try:
+            with GradientTape() as tape:
+                out = cell.run(x, return_sequence)
+                held = tracemalloc.get_traced_memory()[0]
+                loss = ops.sum(out)
+            tracemalloc.reset_peak()
+            grads = tape.gradients(loss, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # [h, x_t] and tanh(c_t) per step would add about half as much again
+        assert held <= 1.1 * (gates + cells + out.data.nbytes)
+        # the VJP's own arrays: the gate gradients, the rebuilt [h, x_t], d_x and
+        # the upstream gradient of the output; per-step temporaries are (batch, dim)
+        d_gates, rebuilt = n_steps * n_rows * 4 * hid * 8, n_steps * n_rows * (hid + n_in) * 8
+        vjp_arrays = d_gates + rebuilt + x.data.nbytes + out.data.nbytes
+        assert peak <= held + vjp_arrays + 8 * n_rows * (hid + n_in) * 8
+        # the VJP reads its caches and overwrites none, so a second pass is the same
+        again = tape.gradients(loss, params)
+        for p in params:
+            assert grads[p].tobytes() == again[p].tobytes()
 
     def test_forget_bias_initialized_to_one(self):
         cell = LstmCell.create(2, 4, np.random.default_rng(5))
