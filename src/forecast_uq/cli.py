@@ -202,10 +202,11 @@ def cmd_train(run: RunConfig, data_path, out_dir, jobs: int = 1) -> list[str]:
 def _load_checkpoints(checkpoints_dir, data_path, data_shape, seeds_filter):
     """Map each checkpoint's model by (predictor, seed); a predictor is ``<backbone>_<uncertainty>``.
 
-    A kept model whose input width differs from the features of
-    ``data_path`` (shape ``data_shape``) raises ``ShapeError`` naming both files.
+    A kept model whose input width differs from the features of ``data_path``
+    (shape ``data_shape``) raises ``ShapeError``, and a second checkpoint of one
+    key ``ConfigError``; each names both files.
     """
-    models = {}
+    models, paths = {}, {}
     for name in sorted(os.listdir(checkpoints_dir)):
         if not name.endswith(".ckpt.json"):
             continue
@@ -218,11 +219,10 @@ def _load_checkpoints(checkpoints_dir, data_path, data_shape, seeds_filter):
                 f"{path}: expected an (N, {model.spec.input_dim}) batch, "
                 f"got shape {data_shape} from {data_path}"
             )
-        pair = (model.spec.backbone, model.spec.uncertainty)
-        key = ("_".join(pair), model.seed)
+        key = (f"{model.spec.backbone}_{model.spec.uncertainty}", model.seed)
         if key in models:
-            raise ConfigError(f"duplicate checkpoint for {pair} seed {model.seed}")
-        models[key] = model
+            raise ConfigError(f"{path}: duplicate checkpoint for {key[0]} seed {key[1]}, also in {paths[key]}")
+        models[key], paths[key] = model, path
     return models
 
 
@@ -251,6 +251,8 @@ def _matrix_row(by_seed: dict[int, PredictionRecords]) -> dict[float, dict]:
 def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filter=None) -> dict:
     dataset = _read_dataset(data_path)
     x, y = dataset.x, dataset.y
+    if len(y) < 3:  # the fewest series a rank correlation is defined on
+        raise ConfigError(f"{data_path}: {len(y)} series, evaluate needs at least 3")
     var_scores = input_variance_score(dataset.values)
     models = _load_checkpoints(checkpoints_dir, data_path, x.shape, seeds_filter)
     if not models:

@@ -476,6 +476,8 @@ class _Checkpoint:
 
     def __post_init__(self):
         check_kinds(self)
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be non-negative")
 
 
 def save_checkpoint(model: Model, path, training_config: TrainConfig | None = None) -> None:

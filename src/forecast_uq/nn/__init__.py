@@ -1,11 +1,10 @@
 """Neural-network kernel: autodiff tensors, layers, Adam."""
 
-from .layers import ACTIVATIONS, DenseLayer, LstmCell, dense_chain
+from .layers import DenseLayer, LstmCell, dense_chain
 from .optim import Adam
 from .tensor import GradientTape, Tensor, affine, as_tensor, concat
 
 __all__ = [
-    "ACTIVATIONS",
     "Adam",
     "DenseLayer",
     "GradientTape",

@@ -227,7 +227,8 @@ class TestEvaluate:
                      "--checkpoints", str(dupes), "--out", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == "error: duplicate checkpoint for ('dense', 'point') seed 0\n"
+        assert err == (f"error: {dupes / 'b.ckpt.json'}: duplicate checkpoint for dense_point seed 0, "
+                       f"also in {dupes / 'a.ckpt.json'}\n")
 
     def test_each_model_and_seed_is_predicted_once(self, workspace, tmp_path, monkeypatch):
         grid = tuple(cli.ModelPair("dense", uncertainty) for uncertainty in cli.UNCERTAINTIES)
@@ -275,6 +276,29 @@ class TestEvaluate:
         assert err == (f"error: {first}: expected an (N, 10) batch, "
                        f"got shape (60, 14) from {data}\n")
         assert not (tmp_path / "out").exists()
+
+    def test_fewer_than_three_series_fail_before_writing(self, workspace, tmp_path, capsys):
+        data = tmp_path / "two.csv"
+        data.write_text("".join(workspace["data"].read_text().splitlines(keepends=True)[:3]))
+        out = tmp_path / "out"
+        argv = ["evaluate", "--config", str(workspace["run_config"]), "--data", str(data),
+                "--checkpoints", str(workspace["ckpts"]), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {data}: 2 series, evaluate needs at least 3\n"
+        assert not out.exists()
+
+    def test_negative_checkpoint_seed_names_file_and_field(self, workspace, tmp_path, capsys):
+        ckpts = tmp_path / "checkpoints"
+        ckpts.mkdir()
+        source = workspace["ckpts"] / "dense_heteroscedastic_seed0.ckpt.json"
+        path = ckpts / source.name
+        path.write_text(json.dumps({**json.loads(source.read_text()), "rng_seed": -1}))
+        out = tmp_path / "out"
+        argv = ["evaluate", "--config", str(workspace["run_config"]), "--data", str(workspace["data"]),
+                "--checkpoints", str(ckpts), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: rng_seed must be non-negative\n"
+        assert not out.exists()
 
 
 class TestCluster:
@@ -448,7 +472,8 @@ class TestBooleansAreNotNumbers:
 
 def test_no_command_imports_scipy(workspace, tmp_path):
     # the package needs numpy only: the four commands run in one process, and
-    # scipy is not loaded at start-up or after any of them
+    # scipy is not loaded at start-up or after any of them; the bare package
+    # root loads none of its modules
     config, data = str(workspace["run_config"]), str(tmp_path / "data.csv")
     runs = [
         ["generate", "--config", str(workspace["gen_config"]), "--out", data],
@@ -458,7 +483,10 @@ def test_no_command_imports_scipy(workspace, tmp_path):
         ["cluster", "--config", config, "--data", data, "--out", str(tmp_path / "clusters")],
     ]
     script = (
-        "import json, sys, forecast_uq, forecast_uq.cli\n"
+        "import json, sys, forecast_uq\n"
+        "loaded = sorted(name for name in sys.modules if name.startswith('forecast_uq.'))\n"
+        "assert not loaded, f'import forecast_uq loaded {loaded}'\n"
+        "import forecast_uq.cli\n"
         "assert 'scipy' not in sys.modules, 'scipy imported at start-up'\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert forecast_uq.cli.main(argv) == 0, argv[0]\n"

@@ -444,6 +444,7 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.pop("rng_seed"), ".rng_seed: missing"),
+        (lambda doc: doc.update(rng_seed=-1), ": rng_seed must be non-negative"),
         (lambda doc: doc["parameters"]["forecast_tower.out.bias"].update(data=[1.0, 2.0]),
          ": parameter forecast_tower.out.bias does not fit shape [1]"),
         (lambda doc: doc["parameters"]["scale_pre"].update(data=[[1.0], [2.0, 3.0]]),
