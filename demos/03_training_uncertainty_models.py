@@ -7,6 +7,7 @@ Run from the repository root (about half a minute):
 
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,7 +35,7 @@ config = GeneratorConfig(
     seed=0,
 )
 dataset = make_dataset(generate_synthetic(config))
-held = make_dataset(generate_synthetic(config, seed=1))
+held = make_dataset(generate_synthetic(replace(config, seed=1)))
 x, y, true_scale = held.x, held.y, held.true_scale
 print(f"{len(dataset)} training series, true noise scale spans "
       f"[{true_scale.min():.2f}, {true_scale.max():.2f}]")

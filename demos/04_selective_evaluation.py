@@ -7,6 +7,7 @@ Run from the repository root (a few seconds):
 
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,7 +44,7 @@ config = GeneratorConfig(
     seed=0,
 )
 dataset = make_dataset(generate_synthetic(config))
-held = make_dataset(generate_synthetic(config, seed=1))
+held = make_dataset(generate_synthetic(replace(config, seed=1)))
 x, y = held.x, held.y
 
 model = build(ModelSpec.default("dense", "heteroscedastic", 14, desk=True), seed=0)

@@ -40,10 +40,9 @@ from .models import (
     TrainConfig,
     baseline_predict,
     build,
+    forecast,
     input_variance_score,
     load_checkpoint,
-    mc_dropout_predict,
-    predict,
     save_checkpoint,
     train,
 )
@@ -175,7 +174,9 @@ def _train_job(spec: ModelSpec, config: TrainConfig, data_path, out_dir) -> str:
 
 
 def cmd_train(run: RunConfig, data_path, out_dir, jobs: int = 1) -> list[str]:
-    input_dim = read_series_csv(data_path).length + 2
+    if len(series := read_series_csv(data_path)) < 2:  # the fewest data.split divides in two
+        raise ConfigError(f"{data_path}: {len(series)} series, train needs at least 2")
+    input_dim = series.length + 2
     grid = run.models or tuple((b, u) for b in BACKBONES for u in UNCERTAINTIES)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -200,13 +201,13 @@ def cmd_train(run: RunConfig, data_path, out_dir, jobs: int = 1) -> list[str]:
 
 
 def _load_checkpoints(checkpoints_dir, data_path, data_shape, seeds_filter):
-    """Map each checkpoint's model by (predictor, seed); a predictor is ``<backbone>_<uncertainty>``.
+    """Map (predictor, seed) to each checkpoint's (model, path); a predictor is ``<backbone>_<uncertainty>``.
 
     A kept model whose input width differs from the features of ``data_path``
     (shape ``data_shape``) raises ``ShapeError``, and a second checkpoint of one
     key ``ConfigError``; each names both files.
     """
-    models, paths = {}, {}
+    models = {}
     for name in sorted(os.listdir(checkpoints_dir)):
         if not name.endswith(".ckpt.json"):
             continue
@@ -221,17 +222,9 @@ def _load_checkpoints(checkpoints_dir, data_path, data_shape, seeds_filter):
             )
         key = (f"{model.spec.backbone}_{model.spec.uncertainty}", model.seed)
         if key in models:
-            raise ConfigError(f"{path}: duplicate checkpoint for {key[0]} seed {key[1]}, also in {paths[key]}")
-        models[key], paths[key] = model, path
+            raise ConfigError(f"{path}: duplicate checkpoint for {key[0]} seed {key[1]}, also in {models[key][1]}")
+        models[key] = model, path
     return models
-
-
-def _forecasts(model, x, run: RunConfig):
-    """A model's (y_hat, scale, spread): ``predict``'s pair and None, or MC dropout's mean, None, std."""
-    if model.spec.uncertainty == "mc_dropout":
-        y_hat, spread = mc_dropout_predict(model, x, run.mc_samples, seed=model.seed)
-        return y_hat, None, spread
-    return (*predict(model, x), None)
 
 
 def _matrix_row(by_seed: dict[int, PredictionRecords]) -> dict[float, dict]:
@@ -258,22 +251,21 @@ def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filt
     if not models:
         seeds = "" if seeds_filter is None else " for seeds " + ",".join(map(str, sorted(seeds_filter)))
         raise ConfigError(f"{checkpoints_dir}: no checkpoints{seeds}")
+    # (predictor, seed) -> models.forecast's (y_hat, scale, scores), each predicted once
+    table = {}
+    for key, (model, path) in sorted(models.items()):
+        try:
+            table[key] = forecast(model, x, run.mc_samples)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    for kind in BASELINES:  # a baseline sits at seed 0
+        table[f"baseline_{kind}", 0] = (baseline_predict(kind, dataset.values), None, {})
     os.makedirs(out_dir, exist_ok=True)
-
-    # (predictor, seed) -> (y_hat, scale, spread), each predicted once; a baseline sits at seed 0
-    table = {key: _forecasts(model, x, run) for key, model in sorted(models.items())}
-    for kind in BASELINES:
-        table[f"baseline_{kind}", 0] = (baseline_predict(kind, dataset.values), None, None)
 
     # row name -> {seed: records}; a row views each seed's forecasts through one score
     row_records: dict[str, dict[int, PredictionRecords]] = {}
-    for (predictor, seed), (y_hat, scale, spread) in table.items():
-        scores = {"input_variance": var_scores}
-        if spread is not None:
-            scores = {"mc_std": spread, **scores}
-        elif predictor.endswith("_heteroscedastic"):
-            scores = {"predicted_scale": scale, **scores}
-        for score_name, score in scores.items():
+    for (predictor, seed), (y_hat, _, scores) in table.items():
+        for score_name, score in {**scores, "input_variance": var_scores}.items():
             records = make_records(y, y_hat, score)
             row_records.setdefault(f"{predictor}+{score_name}", {})[seed] = records
 

@@ -20,7 +20,7 @@ on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -447,12 +447,12 @@ def _laplace(lanes: _PCG64Lanes, count: int) -> np.ndarray:
     return np.where(upper, 0.0 - log, log)  # 0.0 + log is log: log(U + U) < 0
 
 
-def generate_synthetic(config: GeneratorConfig, seed: int | None = None) -> RawSeries:
+def generate_synthetic(config: GeneratorConfig) -> RawSeries:
     """Draw the configured families, in canonical family order.
 
     Each series gets two independent seeded streams: one for its
     pattern, one for its noise. Patterns are therefore stable across
-    noise-law changes. ``seed`` overrides ``config.seed`` when given.
+    noise-law changes. ``seed`` is ``config.seed``.
 
     Series ``index`` draws its pattern from exactly the stream of
     ``default_rng(SeedSequence([seed, index, 0]))`` and its noise from
@@ -461,7 +461,6 @@ def generate_synthetic(config: GeneratorConfig, seed: int | None = None) -> RawS
     stepped and whose draws and arithmetic run on arrays, one lane per
     series.
     """
-    base_seed = (config if seed is None else replace(config, seed=seed)).seed  # checks seed
     n_steps = config.series_length + 1  # window plus the target step
     counts = [config.families.get(family, 0) for family in FAMILIES]
     z = np.empty((sum(counts), n_steps))
@@ -474,8 +473,8 @@ def generate_synthetic(config: GeneratorConfig, seed: int | None = None) -> RawS
             for first in range(start, start + count, _LANE_BLOCK):
                 rows = slice(first, min(first + _LANE_BLOCK, start + count))
                 index = np.arange(rows.start, rows.stop, dtype=np.uint32)
-                pattern = _PCG64Lanes.seeded(base_seed, index, 0)
-                noise = _PCG64Lanes.seeded(base_seed, index, 1)
+                pattern = _PCG64Lanes.seeded(config.seed, index, 0)
+                noise = _PCG64Lanes.seeded(config.seed, index, 1)
                 amplitude = _uniform(pattern, *config.amplitude_range)
                 uniform_draws = _uniform(noise, config.noise["low"], config.noise["high"]) if uniform else None
                 scales[rows] = _noise_scales(config, amplitude, uniform_draws)

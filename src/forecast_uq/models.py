@@ -37,6 +37,7 @@ __all__ = [
     "TrainConfig",
     "baseline_predict",
     "build",
+    "forecast",
     "input_variance_score",
     "load_checkpoint",
     "mc_dropout_predict",
@@ -342,6 +343,25 @@ def mc_dropout_predict(model: Model, x, n_samples: int, seed: int = 0):
         ]
     )
     return samples.mean(axis=0), samples.std(axis=0)
+
+
+def forecast(model: Model, x, mc_samples: int):
+    """A model's (y_hat, scale, scores) for an (N, input_dim) batch, each array (N,).
+
+    ``scale`` is None for point and MC dropout; ``scores`` maps ``predicted_scale`` or ``mc_std``
+    (``mc_samples`` passes seeded by ``model.seed``). Non-finite values raise a ValueError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is named below
+        if model.spec.uncertainty == "mc_dropout":
+            y_hat, spread = mc_dropout_predict(model, x, mc_samples, seed=model.seed)
+            scale, scores = None, {"mc_std": spread}
+        else:
+            y_hat, scale = predict(model, x)
+            scores = {"predicted_scale": scale} if model.spec.uncertainty == "heteroscedastic" else {}
+    for name, values in (("y_hat", y_hat), ("scale", scale), *scores.items()):
+        if values is not None and not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite, series {np.isfinite(values).argmin()} is not")
+    return y_hat, scale, scores
 
 
 def baseline_predict(kind: str, values) -> np.ndarray:

@@ -39,10 +39,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag})"
-
     # arithmetic: what LstmCell.step composes, and the division of a summed loss
 
     def __add__(self, other):

@@ -8,6 +8,7 @@ is deterministic on a given platform.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -274,7 +275,7 @@ def test_criterion_8_baselines_sanity():
     model = build(ModelSpec.default("dense", "point", 14, desk=True), seed=0)
     model, _ = train(model, dataset, TrainConfig())
 
-    held = make_dataset(generate_synthetic(config, seed=42))
+    held = make_dataset(generate_synthetic(replace(config, seed=42)))
     x, y = held.x, held.y
     y_hat, _ = predict(model, x)
     mae_model = float(np.abs(y - y_hat).mean())

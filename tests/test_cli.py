@@ -8,13 +8,14 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import forecast_uq
-from forecast_uq import cli
+from forecast_uq import cli, models
 from forecast_uq.cli import OUT_ENV_VAR, main
 from forecast_uq.data import RawSeries, read_series_csv, write_series_csv
 from forecast_uq.documents import load_json
@@ -131,6 +132,15 @@ class TestTrain:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_one_series_fails_before_writing(self, workspace, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        data.write_text("".join(workspace["data"].read_text().splitlines(keepends=True)[:2]))
+        out = tmp_path / "out"
+        argv = ["train", "--config", str(workspace["run_config"]), "--data", str(data), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {data}: 1 series, train needs at least 2\n"
+        assert not out.exists()
+
     def test_unknown_config_key_fails(self, tmp_path, workspace, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**RUN, "epochs": 5}))
@@ -235,11 +245,11 @@ class TestEvaluate:
         run = dataclasses.replace(load_json(workspace["run_config"], cli.RunConfig), models=grid)
         cli.cmd_train(run, workspace["data"], tmp_path / "ckpts")
         calls = {"predict": 0, "mc_dropout_predict": 0, "baseline_predict": 0}
-        for name in calls:
-            def counted(*args, _wrapped=getattr(cli, name), _name=name, **kwargs):
+        for module, name in ((models, "predict"), (models, "mc_dropout_predict"), (cli, "baseline_predict")):
+            def counted(*args, _wrapped=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _wrapped(*args, **kwargs)
-            monkeypatch.setattr(cli, name, counted)
+            monkeypatch.setattr(module, name, counted)
         rows = cli.cmd_evaluate(run, tmp_path / "ckpts", workspace["data"], tmp_path / "eval")
         # three non-dropout modes and one dropout mode, at seeds 0 and 1; one call per baseline
         assert calls == {"predict": 6, "mc_dropout_predict": 2, "baseline_predict": 3}
@@ -298,6 +308,23 @@ class TestEvaluate:
                 "--checkpoints", str(ckpts), "--out", str(out)]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {path}: rng_seed must be non-negative\n"
+        assert not out.exists()
+
+    def test_overflowing_forecasts_name_the_checkpoint(self, workspace, tmp_path, capsys):
+        ckpts = tmp_path / "checkpoints"
+        ckpts.mkdir()
+        path = ckpts / "dense_point_seed0.ckpt.json"
+        doc = json.loads((workspace["ckpts"] / path.name).read_text())
+        for saved in doc["parameters"].values():
+            saved["data"] = [1e200] * len(saved["data"])
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["evaluate", "--config", str(workspace["run_config"]), "--data", str(workspace["data"]),
+                "--checkpoints", str(ckpts), "--out", str(out), "--seeds", "0"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning must not reach stderr either
+            assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: y_hat must be finite, series 0 is not\n"
         assert not out.exists()
 
 

@@ -302,11 +302,6 @@ class TestGenerator:
             generate_synthetic(base).values, generate_synthetic(alt).values, atol=1e-12
         )
 
-    def test_explicit_seed_overrides_config(self):
-        a = generate_synthetic(small_config(), seed=123)
-        b = generate_synthetic(small_config(seed=123))
-        assert np.array_equal(a.values, b.values)
-
     def test_all_families_produce_finite_features(self):
         series = generate_synthetic(small_config(noise={"law": "uniform", "low": 0.0, "high": 9.0}))
         assert np.all(np.isfinite(featurize(series.values)))
@@ -341,16 +336,15 @@ def one_noise_scale(config: GeneratorConfig, amplitude: float, rng: np.random.Ge
     return float(noise["low"] + (noise["high"] - noise["low"]) * frac)
 
 
-def per_series_generators(config, seed=None):
+def per_series_generators(config):
     """The generation loop that builds two generators per series, kept as the reference."""
-    base_seed = config.seed if seed is None else seed
     n_steps = config.series_length + 1  # window plus the target step
     families = [family for family in FAMILIES for _ in range(config.families.get(family, 0))]
     z = np.empty((len(families), n_steps))
     scales = np.empty(len(families))
     for index, family in enumerate(families):
-        pattern_rng = np.random.default_rng(np.random.SeedSequence([base_seed, index, 0]))
-        noise_rng = np.random.default_rng(np.random.SeedSequence([base_seed, index, 1]))
+        pattern_rng = np.random.default_rng(np.random.SeedSequence([config.seed, index, 0]))
+        noise_rng = np.random.default_rng(np.random.SeedSequence([config.seed, index, 1]))
         amplitude = float(pattern_rng.uniform(*config.amplitude_range))
         pattern = one_pattern(family, amplitude, n_steps, pattern_rng)
         scales[index] = one_noise_scale(config, amplitude, noise_rng)
@@ -376,16 +370,10 @@ class TestStreamsEqualPerSeriesGenerators:
 
     @pytest.mark.parametrize("law", NOISE_LAWS)
     @pytest.mark.parametrize("base_seed", [0, 11, 2**32 + 5, 2**64 + 3])
-    @pytest.mark.parametrize("override", [False, True])
-    def test_every_family_and_law(self, law, base_seed, override):
+    def test_every_family_and_law(self, law, base_seed):
         families = {"periodic": 9, "spikes": 7, "trend": 8, "noise": 6}
-        if override:
-            config = small_config(families=families, noise=NOISE[law], seed=3)
-            got, want = generate_synthetic(config, seed=base_seed), per_series_generators(config, base_seed)
-        else:
-            config = small_config(families=families, noise=NOISE[law], seed=base_seed)
-            got, want = generate_synthetic(config), per_series_generators(config)
-        assert_same_series(got, want)
+        config = small_config(families=families, noise=NOISE[law], seed=base_seed)
+        assert_same_series(generate_synthetic(config), per_series_generators(config))
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("law", NOISE_LAWS)
@@ -569,9 +557,6 @@ class TestGeneratorConfig:
     def test_bad_seed_rejected(self, seed, message):
         with pytest.raises(ConfigError) as info:
             small_config(seed=seed)
-        assert str(info.value) == message
-        with pytest.raises(ConfigError) as info:
-            generate_synthetic(small_config(), seed=seed)
         assert str(info.value) == message
 
     def test_wrong_schema_version_rejected(self):

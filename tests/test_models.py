@@ -1,6 +1,7 @@
 """Model building, training loop, prediction, baselines, checkpoints."""
 
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,11 +12,13 @@ from forecast_uq.data import GeneratorConfig, RawSeries, generate_synthetic, mak
 from forecast_uq.exceptions import ConfigError, ShapeError, TrainingError
 from forecast_uq.models import (
     BACKBONES,
+    UNCERTAINTIES,
     Model,
     ModelSpec,
     TrainConfig,
     baseline_predict,
     build,
+    forecast,
     input_variance_score,
     load_checkpoint,
     mc_dropout_predict,
@@ -250,6 +253,43 @@ class TestMcDropout:
             mc_dropout_predict(model, x, n_samples=2)
 
 
+class TestForecast:
+    SCORES = {"point": (), "homoscedastic": (), "heteroscedastic": ("predicted_scale",),
+              "mc_dropout": ("mc_std",)}
+
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    @pytest.mark.parametrize("uncertainty", UNCERTAINTIES)
+    def test_arrays_are_those_of_predict_or_mc_dropout(self, backbone, uncertainty):
+        model = build(ModelSpec.default(backbone, uncertainty, 14, desk=True), seed=3)
+        x = np.random.default_rng(6).normal(size=(9, 14))
+        y_hat, scale, scores = forecast(model, x, 5)
+        assert tuple(scores) == self.SCORES[uncertainty]
+        assert (scale is None) == (uncertainty in ("point", "mc_dropout"))
+        if uncertainty == "mc_dropout":
+            mean, std = mc_dropout_predict(model, x, 5, seed=model.seed)
+            assert y_hat.tobytes() == mean.tobytes() and scores["mc_std"].tobytes() == std.tobytes()
+            return
+        mu, b = predict(model, x)
+        assert y_hat.tobytes() == mu.tobytes()
+        assert scale is None or scale.tobytes() == b.tobytes()
+        if uncertainty == "heteroscedastic":
+            assert scores["predicted_scale"].tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("uncertainty, name", [
+        ("point", "y_hat"), ("heteroscedastic", "scale"), ("mc_dropout", "y_hat"),
+    ])
+    def test_overflow_names_the_array_and_first_series(self, uncertainty, name):
+        model = build(ModelSpec.default("dense", uncertainty, 14, desk=True), seed=0)
+        tower = model.scale_tower if name == "scale" else model.forecast_tower
+        tower.hidden[0].weights.data[...] = 1e308
+        x = np.ones((4, 14))
+        x[:2] = 0.0  # only the rows of ones overflow the first layer
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{name} must be finite, series 2 is not$"):
+                forecast(model, x, 3)
+
+
 class TestBaselines:
     def test_named_values(self):
         z = np.array([[1.0, 2.0, 3.0], [4.0, 6.0, 5.0]])
@@ -340,8 +380,8 @@ class TestTrain:
         ))
         model = build(ModelSpec.default("dense", "heteroscedastic", 14, desk=True), seed=0)
         model, _ = train(model, ds, TrainConfig(max_epochs=150, patience=150, batch_size=64, seed=0))
-        held_quiet = make_dataset(generate_synthetic(quiet, seed=33))
-        held_loud = make_dataset(generate_synthetic(loud, seed=44))
+        held_quiet = make_dataset(generate_synthetic(replace(quiet, seed=33)))
+        held_loud = make_dataset(generate_synthetic(replace(loud, seed=44)))
         _, b_quiet = predict(model, held_quiet.x)
         _, b_loud = predict(model, held_loud.x)
         assert np.median(b_loud) > np.median(b_quiet)
