@@ -31,7 +31,7 @@ from .data import (
     write_series_csv,
 )
 from .documents import check_kinds, load_json, write_csv, write_json
-from .exceptions import ConfigError, RowError, ShapeError, TrainingError
+from .exceptions import ConfigError, ShapeError, TrainingError
 from .models import (
     BACKBONES,
     BASELINES,
@@ -129,20 +129,6 @@ class RunConfig:
             raise ConfigError("k must be positive")
 
 
-@contextlib.contextmanager
-def _series_lines(path):
-    """Turn a ``RowError`` about the series read from ``path`` into a ValueError naming the CSV line."""
-    try:
-        yield
-    except RowError as exc:
-        raise ValueError(f"{path}, line {exc.row + 2}: {exc.reason}") from None
-
-
-def _read_dataset(path):
-    with _series_lines(path):
-        return make_dataset(read_series_csv(path))
-
-
 # -- generate -----------------------------------------------------------------
 
 
@@ -164,7 +150,7 @@ def _checkpoint_stem(spec: ModelSpec, seed: int) -> str:
 
 def _train_job(spec: ModelSpec, config: TrainConfig, data_path, out_dir) -> str:
     """One (model, seed) training run; module-level so jobs can fork."""
-    dataset = _read_dataset(data_path)
+    dataset = make_dataset(read_series_csv(data_path))
     model = build(spec, seed=config.seed)
     model, history = train(model, dataset, config)
     stem = _checkpoint_stem(spec, config.seed)
@@ -241,8 +227,19 @@ def _matrix_row(by_seed: dict[int, PredictionRecords]) -> dict[float, dict]:
     }
 
 
+def _overflowing_seed(row: dict[float, dict]) -> int | None:
+    """None if every cell of ``row`` is finite, else the seed with the largest plain (keep 1.0) MAE.
+
+    The plain MAE averages every error, so it bounds each curve point too.
+    """
+    if np.isfinite([(cell["mean"], cell["std"]) for cell in row.values()]).all():
+        return None
+    plain = row[1.0]["per_seed"]
+    return int(max(plain, key=plain.get))
+
+
 def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filter=None) -> dict:
-    dataset = _read_dataset(data_path)
+    dataset = make_dataset(read_series_csv(data_path))
     x, y = dataset.x, dataset.y
     if len(y) < 3:  # the fewest series a rank correlation is defined on
         raise ConfigError(f"{data_path}: {len(y)} series, evaluate needs at least 3")
@@ -260,26 +257,24 @@ def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filt
             raise ValueError(f"{path}: {exc}") from None
     for kind in BASELINES:  # a baseline sits at seed 0
         table[f"baseline_{kind}", 0] = (baseline_predict(kind, dataset.values), None, {})
-    os.makedirs(out_dir, exist_ok=True)
 
     # row name -> {seed: records}; a row views each seed's forecasts through one score
     row_records: dict[str, dict[int, PredictionRecords]] = {}
-    for (predictor, seed), (y_hat, _, scores) in table.items():
-        for score_name, score in {**scores, "input_variance": var_scores}.items():
-            records = make_records(y, y_hat, score)
-            row_records.setdefault(f"{predictor}+{score_name}", {})[seed] = records
-
-    rows = {}
-    for row_name, by_seed in row_records.items():
-        rows[row_name] = _matrix_row(by_seed)
-        for seed, records in by_seed.items():
-            suffix = "" if row_name.startswith("baseline_") else f"_seed{seed}"
-            curve = error_keep_curve(records, run.curve_points)
-            write_curve_csv(curve, os.path.join(out_dir, f"curve_{row_name}{suffix}.csv"))
-
-    matrix_path = os.path.join(out_dir, "matrix.json")
-    write_matrix_json(rows, KEEP_GRID, matrix_path)
-    print(f"wrote {matrix_path} with {len(rows)} rows")
+    rows, curves = {}, {}  # curves: file name -> curve
+    with np.errstate(over="ignore", invalid="ignore"):  # errors past float64's range are named below
+        for (predictor, seed), (y_hat, _, scores) in table.items():
+            for score_name, score in {**scores, "input_variance": var_scores}.items():
+                records = make_records(y, y_hat, score)
+                row_records.setdefault(f"{predictor}+{score_name}", {})[seed] = records
+        for row_name, by_seed in row_records.items():
+            rows[row_name] = _matrix_row(by_seed)
+            if (seed := _overflowing_seed(rows[row_name])) is not None:
+                key = (row_name.partition("+")[0], seed)
+                source = models[key][1] if key in models else data_path  # a baseline forecasts from the data
+                raise ValueError(f"{source}: mean absolute error of {row_name} seed {seed} is not finite")
+            for seed, records in by_seed.items():
+                suffix = "" if row_name.startswith("baseline_") else f"_seed{seed}"
+                curves[f"curve_{row_name}{suffix}.csv"] = error_keep_curve(records, run.curve_points)
 
     het_rows = [name for name in rows if name.endswith("+predicted_scale")]
     if het_rows:
@@ -290,6 +285,14 @@ def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filt
             rng = np.random.default_rng(best_seed)
             pick = np.sort(rng.choice(len(scatter), size=run.scatter_rows, replace=False))
             scatter = scatter[pick]
+
+    os.makedirs(out_dir, exist_ok=True)
+    for name, curve in curves.items():
+        write_curve_csv(curve, os.path.join(out_dir, name))
+    matrix_path = os.path.join(out_dir, "matrix.json")
+    write_matrix_json(rows, KEEP_GRID, matrix_path)
+    print(f"wrote {matrix_path} with {len(rows)} rows")
+    if het_rows:
         scatter_path = os.path.join(out_dir, "scatter.csv")
         write_scatter_csv(scatter, scatter_path)
         print(
@@ -309,8 +312,7 @@ def cmd_cluster(run: RunConfig, data_path, out_dir, seed: int) -> None:
             f"{data_path}: {len(series)} series, fewer than k={run.k} clusters; "
             f"set k in the run config (default {RunConfig.k})"
         )
-    with _series_lines(data_path):
-        normalized = center_scale_normalize(series.values)
+    normalized = center_scale_normalize(series.values)
     del series  # the raw table need not live through k-means
     result = kmeans(normalized, run.k, seed=seed)
     os.makedirs(out_dir, exist_ok=True)

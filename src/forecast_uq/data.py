@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .documents import check_kinds, check_value, load_csv, write_csv
-from .exceptions import ConfigError, RowError
+from .exceptions import ConfigError
 
 __all__ = [
     "DEFAULT_STD_THRESHOLD",
@@ -107,6 +107,15 @@ class Dataset:
         return Dataset(self.x[rows], self.y[rows], self.values[rows], scale)
 
 
+def _moments(z: np.ndarray):
+    """Mean and population std over the last axis as (..., 1), and the first series where either is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = z.mean(axis=-1, keepdims=True)
+        std = z.std(axis=-1, keepdims=True)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    return mean, std, int(bad[0]) if bad.size else None
+
+
 def _normalized(z, moments: bool = False) -> np.ndarray:
     """``center_scale_normalize(z)``, then each series' raw mean and std as two columns if ``moments``."""
     z = np.asarray(z, dtype=np.float64)
@@ -114,12 +123,9 @@ def _normalized(z, moments: bool = False) -> np.ndarray:
         raise ValueError(f"need (N, T) windows, got shape {z.shape}")
     if z.ndim == 0 or z.shape[-1] < 2:
         raise ValueError("series needs at least 2 values")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = z.mean(axis=-1, keepdims=True)
-        std = z.std(axis=-1, keepdims=True)
-    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
-    if bad.size:
-        raise RowError(int(bad[0]), "mean or standard deviation is not finite")
+    mean, std, bad = _moments(z)
+    if bad is not None:
+        raise ValueError(f"series {bad}: mean or standard deviation is not finite")
     out = np.empty(z.shape[:-1] + (z.shape[-1] + 2 * moments,))  # after std's full-size temporary is freed
     normalized = np.subtract(z, mean, out=out[..., :z.shape[-1]])
     np.divide(normalized, np.where(std >= DEFAULT_STD_THRESHOLD, std, 1.0), out=normalized)
@@ -134,7 +140,7 @@ def center_scale_normalize(z) -> np.ndarray:
     Uses the population (divide-by-T) standard deviation. Below the
     threshold a series is only centered, so near-constant series do
     not blow up. A series whose mean or std is not finite, such as finite
-    values near 1e308 whose sum overflows, is a ``RowError`` naming it.
+    values near 1e308 whose sum overflows, is a ValueError naming its index.
     """
     return _normalized(z)
 
@@ -142,7 +148,7 @@ def center_scale_normalize(z) -> np.ndarray:
 def featurize(values) -> np.ndarray:
     """Model inputs (N, T+2) of (N, T) windows: T normalized values, then raw mean, then raw std.
 
-    Each window's mean and std are computed once; a non-finite one is a ``RowError``.
+    Each window's mean and std are computed once; a non-finite one is a ValueError naming its index.
     """
     return _normalized(values, moments=True)
 
@@ -531,8 +537,9 @@ def read_series_csv(path) -> RawSeries:
 
     A malformed file is a ValueError naming the file, and the line when
     one line is at fault: a row whose cell count differs from the
-    header's, a cell that is not a finite number, a negative true_scale.
-    The header holds 'target' once and at most one 'true_scale', after it.
+    header's, a cell that is not a finite number, values whose mean or
+    population std overflows, a negative true_scale. The header holds
+    'target' once and at most one 'true_scale', after it.
     """
     header, data = load_csv(path, "series rows")
     if "target" not in header:
@@ -545,10 +552,13 @@ def read_series_csv(path) -> RawSeries:
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}, line {bad[0] + 2}: non-finite cell")
+    values = data[:, :target_col]
+    if (bad := _moments(values)[2]) is not None:
+        raise ValueError(f"{path}, line {bad + 2}: mean or standard deviation is not finite")
     scale = None
     if "true_scale" in header:
         scale = data[:, header.index("true_scale")]
         bad = np.flatnonzero(scale < 0.0)
         if bad.size:
             raise ValueError(f"{path}, line {bad[0] + 2}: negative true_scale {scale[bad[0]]}")
-    return RawSeries(values=data[:, :target_col], target=data[:, target_col], true_scale=scale)
+    return RawSeries(values=values, target=data[:, target_col], true_scale=scale)

@@ -1,8 +1,9 @@
 """Every file format the package reads or writes: JSON documents and CSV tables.
 
 No other module opens a file for writing. ``write_json`` writes sorted
-keys, two-space indents and one final newline; ``write_csv`` writes each
-number as ``repr``, so a float reads back bit for bit.
+keys, two-space indents and one final newline, and refuses NaN and
+infinity; ``write_csv`` writes each number as ``repr``, so a float reads
+back bit for bit.
 
 ``load_json`` builds a frozen dataclass from a document. A class's fields
 give the allowed keys, the required keys (no default) and each value's
@@ -58,9 +59,13 @@ def load_json(path, cls):
 
 
 def write_json(path, doc) -> None:
-    """Write ``doc`` with sorted keys, two-space indents and one final newline."""
+    """Write ``doc`` with sorted keys, two-space indents and one final newline; NaN or infinity is a ValueError."""
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:  # raised before the file is opened
+        raise ValueError(f"{path}: JSON cannot hold NaN or infinity") from None
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        fh.write(text + "\n")
 
 
 def write_csv(path, header, rows) -> None:

@@ -407,21 +407,14 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[Model, d
             f"model expects input_dim {model.spec.input_dim}, data has {x_train.shape[1]}"
         )
 
-    params = model.parameters()
-    values = list(params.values())
-    optimizer = Adam(
-        values,
-        lr=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.eps,
-    )
+    values = list(model.parameters().values())
+    optimizer = Adam(values, lr=config.learning_rate, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
     rng = np.random.default_rng(config.seed)
     n = len(y_train)
 
     best_val = np.inf
     best_epoch = 0
-    best_state = {name: p.data.copy() for name, p in params.items()}
+    best_state = optimizer.flat.copy()  # every parameter is a view into this buffer
     history = {"train_loss": [], "validation_loss": []}
 
     for epoch in range(1, config.max_epochs + 1):
@@ -451,12 +444,11 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[Model, d
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_state = {name: p.data.copy() for name, p in params.items()}
+            best_state = optimizer.flat.copy()
         elif epoch - best_epoch >= config.patience:
             break
 
-    for name, p in params.items():
-        p.data[...] = best_state[name]
+    optimizer.flat[...] = best_state
     history["best_epoch"] = best_epoch
     history["best_validation_loss"] = best_val
     history["epochs_run"] = len(history["train_loss"])

@@ -327,6 +327,31 @@ class TestEvaluate:
         assert capsys.readouterr().err == f"error: {path}: y_hat must be finite, series 0 is not\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("bias, seeds, blamed", [(1.5e308, "0", 0), (1e160, "0,1", 1)],
+                             ids=["mean-overflows", "spread-over-seeds-overflows"])
+    def test_errors_too_large_to_average_name_the_checkpoint(self, workspace, tmp_path, capsys, bias, seeds,
+                                                             blamed):
+        """Finite forecasts whose MAE, or whose MAEs' std over seeds, overflows: one line, no ``--out``."""
+        ckpts = tmp_path / "checkpoints"
+        ckpts.mkdir()
+        for seed in map(int, seeds.split(",")):
+            name = f"dense_point_seed{seed}.ckpt.json"
+            doc = json.loads((workspace["ckpts"] / name).read_text())
+            if seed == blamed:  # a constant forecast of ``bias``
+                for param, saved in doc["parameters"].items():
+                    saved["data"] = [bias if param == "forecast_tower.out.bias" else 0.0] * len(saved["data"])
+            (ckpts / name).write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["evaluate", "--config", str(workspace["run_config"]), "--data", str(workspace["data"]),
+                "--checkpoints", str(ckpts), "--out", str(out), "--seeds", seeds]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning must not reach stderr either
+            assert main(argv) == 1
+        path = ckpts / f"dense_point_seed{blamed}.ckpt.json"
+        assert capsys.readouterr().err == (
+            f"error: {path}: mean absolute error of dense_point+input_variance seed {blamed} is not finite\n")
+        assert not out.exists()
+
 
 class TestCluster:
     def test_centroids_table(self, cluster_results):
@@ -437,23 +462,26 @@ class TestMalformedCsv:
 
 
 class TestStatisticsThatOverflow:
-    """Finite values whose mean or std overflows fail at the features: exit 1, one line naming the file and line."""
+    """Finite values whose mean or std overflows fail at the reader: exit 1, one line naming the file and line,
+    and no ``--out``."""
 
     @pytest.mark.filterwarnings("error")  # numpy's overflow warning printed before the error fails too
     @pytest.mark.parametrize("values", [["3e307"] * 8, ["1e200", "-1e200"] * 4], ids=["mean", "std"])
-    @pytest.mark.parametrize("command", ["train", "evaluate", "cluster"])
+    @pytest.mark.parametrize("command", ["train", "train --jobs 2", "evaluate", "cluster"],
+                             ids=["train", "train-jobs-2", "evaluate", "cluster"])
     def test_one_line_names_the_row(self, workspace, tmp_path, capsys, command, values):
         lines = workspace["data"].read_text().splitlines()
         assert len(lines[0].split(",")) == len(values) + 2  # values, target, true_scale
         lines[3] = ",".join(values + ["1.0", "1.0"])
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
-        argv = [command, "--config", str(workspace["run_config"]), "--data", str(bad),
-                "--out", str(tmp_path / "out")]
+        out = tmp_path / "out"
+        argv = command.split() + ["--config", str(workspace["run_config"]), "--data", str(bad), "--out", str(out)]
         if command == "evaluate":
             argv += ["--checkpoints", str(workspace["ckpts"])]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {bad}, line 4: mean or standard deviation is not finite\n"
+        assert not out.exists()
 
 
 def test_cluster_with_fewer_series_than_k_names_file_and_field(tmp_path, capsys):

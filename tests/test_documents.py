@@ -526,9 +526,9 @@ EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e3
      "n,x\n0,nan\n1,inf\n2,-inf\n3,-0.0\n4,5e-324\n5,1.7976931348623157e+308\n6,0.1\n"
      "7,0.6666666666666666\n",
      np.column_stack([np.arange(len(EDGE_FLOATS)), EDGE_FLOATS])),
-    (lambda path: documents.write_json(path, {"b": [1, -0.0, math.nan], "a": {"z": None, "y": "\u00e9\n"}}),
+    (lambda path: documents.write_json(path, {"b": [1, -0.0, 5e-324], "a": {"z": None, "y": "\u00e9\n"}}),
      '{\n  "a": {\n    "y": "\\u00e9\\n",\n    "z": null\n  },\n'
-     '  "b": [\n    1,\n    -0.0,\n    NaN\n  ]\n}\n',
+     '  "b": [\n    1,\n    -0.0,\n    5e-324\n  ]\n}\n',
      None),
 ], ids=["csv", "json"])
 def test_writers_give_the_format_byte_for_byte(tmp_path, write, text, table):
@@ -539,6 +539,16 @@ def test_writers_give_the_format_byte_for_byte(tmp_path, write, text, table):
     if table is not None:
         header, data = load_csv(path, "rows")
         assert header == ["n", "x"] and data.tobytes() == table.tobytes()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_json_never_holds_nan_or_infinity(tmp_path, value):
+    """No JSON artifact can hold ``Infinity`` or ``NaN``: the writer names the file and writes nothing."""
+    path = tmp_path / "matrix.json"
+    with pytest.raises(ValueError) as info:
+        documents.write_json(path, {"rows": {"a": {"mean": value}}})
+    assert str(info.value) == f"{path}: JSON cannot hold NaN or infinity"
+    assert not path.exists()
 
 
 SOURCE = Path(__file__).parents[1] / "src" / "forecast_uq"
