@@ -487,7 +487,8 @@ def generate_synthetic(config: GeneratorConfig) -> RawSeries:
                 shape = _patterns(family, amplitude[:, None], _shape_draws(family, n_steps, pattern), n_steps)
                 z[rows] = shape + scales[rows, None] * _laplace(noise, n_steps)
             start += count
-    bad = np.flatnonzero(~np.isfinite(z).all(axis=1))
+    mean, std, _ = _moments(z[:, :-1])  # the reader's rule: a window whose mean or std overflows
+    bad = np.flatnonzero(~np.isfinite(np.hstack([z, mean, std])).all(axis=1))
     if bad.size:
         raise ConfigError(
             f"noise {config.noise} and amplitude_range {list(config.amplitude_range)} draw values "

@@ -52,12 +52,13 @@ BASELINES = ("mean", "zero", "last")
 
 MC_DROPOUT_P = 0.5
 
-_FULL_DENSE_SIZES = (128, 64)
-_FULL_LSTM_SIZES = (128, 128)
-_FULL_LSTM_HEAD = 128
-_DESK_DENSE_SIZES = (32, 16)
-_DESK_LSTM_SIZES = (32, 32)
-_DESK_LSTM_HEAD = 32
+# (backbone, desk) -> (layer_sizes, head_size) of the two standard profiles
+_PROFILES = {
+    ("dense", False): ((128, 64), 0),
+    ("lstm", False): ((128, 128), 128),
+    ("dense", True): ((32, 16), 0),
+    ("lstm", True): ((32, 32), 32),
+}
 
 
 @dataclass(frozen=True)
@@ -106,12 +107,9 @@ class ModelSpec:
         input_dim: int,
         desk: bool = False,
     ) -> "ModelSpec":
+        # an unknown backbone gets no sizes, and the constructor names it
+        sizes, head = _PROFILES.get((backbone, bool(desk)), ((), 0))
         dropout_p = MC_DROPOUT_P if uncertainty == "mc_dropout" else 0.0
-        if backbone == "dense":
-            sizes = _DESK_DENSE_SIZES if desk else _FULL_DENSE_SIZES
-            return cls(backbone, uncertainty, input_dim, sizes, 0, dropout_p)
-        sizes = _DESK_LSTM_SIZES if desk else _FULL_LSTM_SIZES
-        head = _DESK_LSTM_HEAD if desk else _FULL_LSTM_HEAD
         return cls(backbone, uncertainty, input_dim, sizes, head, dropout_p)
 
 
@@ -156,16 +154,24 @@ def _dropout_mask(
     return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
 
 
-class _DenseTower:
-    """Hidden relu layers plus a 1-unit identity output layer."""
+def _named(**parts) -> dict[str, Tensor]:
+    """Each part's parameters as ``<key>.<name>``, in order; a tensor part is named ``<key>``, a None part skipped."""
+    named = {}
+    for key, part in parts.items():
+        if isinstance(part, Tensor):
+            named[key] = part
+        elif part is not None:
+            named.update({f"{key}.{name}": p for name, p in part.parameters().items()})
+    return named
 
-    def __init__(self, input_dim: int, sizes: tuple[int, ...], rng: np.random.Generator):
-        self.hidden = []
-        prev = input_dim
-        for width in sizes:
-            self.hidden.append(DenseLayer.create(prev, width, "relu", rng))
-            prev = width
-        self.out = DenseLayer.create(prev, 1, "identity", rng)
+
+class _DenseTower:
+    """Hidden relu layers of ``spec.layer_sizes`` plus a 1-unit identity output layer."""
+
+    def __init__(self, spec: ModelSpec, rng: np.random.Generator):
+        widths = (spec.input_dim, *spec.layer_sizes)
+        self.hidden = [DenseLayer.create(a, b, "relu", rng) for a, b in zip(widths, widths[1:])]
+        self.out = DenseLayer.create(widths[-1], 1, "identity", rng)
 
     def forward(self, x: np.ndarray, dropout_p: float = 0.0, rng=None) -> Tensor:
         return self.tail(self.trunk(x), x, dropout_p, rng)
@@ -185,32 +191,23 @@ class _DenseTower:
         return dense_chain(z, [*self.hidden[1:], self.out], masks)
 
     def parameters(self) -> dict[str, Tensor]:
-        named = {}
-        for i, layer in enumerate(self.hidden):
-            for key, value in layer.parameters().items():
-                named[f"layer{i}.{key}"] = value
-        for key, value in self.out.parameters().items():
-            named[f"out.{key}"] = value
-        return named
+        return _named(**{f"layer{i}": layer for i, layer in enumerate(self.hidden)}, out=self.out)
 
 
 class _LstmTower:
-    """Stacked LSTM cells over the normalized values, then a dense head.
+    """Stacked LSTM cells of ``spec.layer_sizes`` over the normalized values, then a dense head.
 
     The series part of the input feeds the stack one value per step; the
     (mean, std) attributes join the final hidden state before the head,
     so the recurrent layers see shape and the head still sees scale.
     """
 
-    def __init__(self, input_dim: int, sizes: tuple[int, ...], head_size: int, rng):
-        self.input_dim = input_dim
-        self.cells = []
-        prev = 1
-        for width in sizes:
-            self.cells.append(LstmCell.create(prev, width, rng))
-            prev = width
-        self.head = DenseLayer.create(prev + 2, head_size, "relu", rng)
-        self.out = DenseLayer.create(head_size, 1, "identity", rng)
+    def __init__(self, spec: ModelSpec, rng: np.random.Generator):
+        self.input_dim = spec.input_dim
+        widths = (1, *spec.layer_sizes)
+        self.cells = [LstmCell.create(a, b, rng) for a, b in zip(widths, widths[1:])]
+        self.head = DenseLayer.create(widths[-1] + 2, spec.head_size, "relu", rng)
+        self.out = DenseLayer.create(spec.head_size, 1, "identity", rng)
 
     def forward(self, x: np.ndarray, dropout_p: float = 0.0, rng=None) -> Tensor:
         return self.tail(self.trunk(x), x, dropout_p, rng)
@@ -235,19 +232,13 @@ class _LstmTower:
         return dense_chain(h, [self.head, self.out], [before, after])
 
     def parameters(self) -> dict[str, Tensor]:
-        named = {}
-        for i, cell in enumerate(self.cells):
-            for key, value in cell.parameters().items():
-                named[f"lstm{i}.{key}"] = value
-        for key, value in self.head.parameters().items():
-            named[f"head.{key}"] = value
-        for key, value in self.out.parameters().items():
-            named[f"out.{key}"] = value
-        return named
+        return _named(**{f"lstm{i}": cell for i, cell in enumerate(self.cells)}, head=self.head, out=self.out)
 
 
 @dataclass
 class Model:
+    """A forecast tower, plus a scale tower (heteroscedastic) or a shared scale ``scale_pre`` (homoscedastic)."""
+
     spec: ModelSpec
     forecast_tower: object
     scale_tower: object | None
@@ -255,42 +246,30 @@ class Model:
     seed: int
 
     def parameters(self) -> dict[str, Tensor]:
-        named = {f"forecast_tower.{k}": v for k, v in self.forecast_tower.parameters().items()}
-        if self.scale_tower is not None:
-            named.update({f"scale_tower.{k}": v for k, v in self.scale_tower.parameters().items()})
-        if self.scale_pre is not None:
-            named["scale_pre"] = self.scale_pre
-        return named
+        return _named(forecast_tower=self.forecast_tower, scale_tower=self.scale_tower, scale_pre=self.scale_pre)
 
     def forward_mean(self, x: np.ndarray, dropout_p: float = 0.0, rng=None) -> Tensor:
         return self.forecast_tower.forward(x, dropout_p, rng)
 
     def forward_scale(self, x: np.ndarray) -> Tensor | None:
-        """Positive noise scale as a tensor; None for models without one."""
-        if self.spec.uncertainty == "homoscedastic":
-            pre = self.scale_pre
-        elif self.spec.uncertainty == "heteroscedastic":
+        """Positive noise scale as a tensor; None for a model with neither scale part."""
+        if self.scale_tower is not None:
             pre = self.scale_tower.forward(x)
+        elif self.scale_pre is not None:
+            pre = self.scale_pre
         else:
             return None
         return elu_plus_one(pre).clip_min(DEFAULT_SCALE_FLOOR)
 
 
 def build(spec: ModelSpec, seed: int = 0) -> Model:
-    """Initialize a model; same (spec, seed) gives identical parameters."""
+    """Initialize a model, turning its uncertainty kind into parts; same (spec, seed) gives identical parameters."""
     rng = np.random.default_rng(seed)
-
-    def tower():
-        if spec.backbone == "dense":
-            return _DenseTower(spec.input_dim, spec.layer_sizes, rng)
-        return _LstmTower(spec.input_dim, spec.layer_sizes, spec.head_size, rng)
-
-    forecast_tower = tower()
-    scale_tower = tower() if spec.uncertainty == "heteroscedastic" else None
-    scale_pre = None
-    if spec.uncertainty == "homoscedastic":
-        # pre-activation 0 puts the shared scale at exactly 1.0 initially
-        scale_pre = Tensor(np.zeros((1, 1)), requires_grad=True)
+    tower = _DenseTower if spec.backbone == "dense" else _LstmTower
+    forecast_tower = tower(spec, rng)
+    scale_tower = tower(spec, rng) if spec.uncertainty == "heteroscedastic" else None
+    # pre-activation 0 puts the shared scale at exactly 1.0 initially
+    scale_pre = Tensor(np.zeros((1, 1)), requires_grad=True) if spec.uncertainty == "homoscedastic" else None
     model = Model(spec, forecast_tower, scale_tower, scale_pre, seed)
     for name, p in model.parameters().items():
         p.name = name  # so training errors name the parameter
@@ -357,7 +336,7 @@ def forecast(model: Model, x, mc_samples: int):
             scale, scores = None, {"mc_std": spread}
         else:
             y_hat, scale = predict(model, x)
-            scores = {"predicted_scale": scale} if model.spec.uncertainty == "heteroscedastic" else {}
+            scores = {} if model.scale_tower is None else {"predicted_scale": scale}
     for name, values in (("y_hat", y_hat), ("scale", scale), *scores.items()):
         if values is not None and not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite, series {np.isfinite(values).argmin()} is not")
@@ -490,6 +469,8 @@ class _Checkpoint:
         check_kinds(self)
         if self.rng_seed < 0:
             raise ConfigError("rng_seed must be non-negative")
+        if self.schema_version != 1:
+            raise ConfigError(f"unsupported checkpoint schema_version {self.schema_version}")
 
 
 def save_checkpoint(model: Model, path, training_config: TrainConfig | None = None) -> None:
@@ -509,8 +490,6 @@ def save_checkpoint(model: Model, path, training_config: TrainConfig | None = No
 
 def load_checkpoint(path) -> Model:
     doc = load_json(path, _Checkpoint)
-    if doc.schema_version != 1:
-        raise ConfigError(f"{path}: unsupported checkpoint schema_version {doc.schema_version}")
     model = build(doc.architecture, seed=doc.rng_seed)
     params = model.parameters()
     if set(doc.parameters) != set(params):

@@ -15,7 +15,7 @@ raises ``ShapeError`` on any other shape; all math is float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -280,7 +280,4 @@ class LstmCell:
         return _record_op(inputs, seq if return_sequence else h, vjp)
 
     def parameters(self) -> dict[str, Tensor]:
-        return {
-            "w_f": self.w_f, "w_i": self.w_i, "w_c": self.w_c, "w_o": self.w_o,
-            "b_f": self.b_f, "b_i": self.b_i, "b_c": self.b_c, "b_o": self.b_o,
-        }
+        return {field.name: getattr(self, field.name) for field in fields(self)}

@@ -126,6 +126,16 @@ class TestTrain:
             workspace["ckpts"] / "dense_point_seed0.ckpt.json"
         ).read_bytes()
 
+    def test_desk_flag_selects_the_desk_profile(self, workspace, tmp_path):
+        run = tmp_path / "run.json"  # no "desk" key, so the flag alone picks the profile
+        run.write_text(json.dumps({"models": [{"backbone": "dense", "uncertainty": "point"}],
+                                   "train": {"max_epochs": 1}, "seeds": [0]}))
+        out = tmp_path / "out"
+        argv = ["train", "--config", str(run), "--data", str(workspace["data"]), "--out", str(out), "--desk"]
+        assert main(argv) == 0
+        doc = json.loads((out / "dense_point_seed0.ckpt.json").read_text())
+        assert doc["architecture"]["layer_sizes"] == [32, 16]
+
     def test_missing_data_file_fails(self, workspace, tmp_path, capsys):
         code = main(["train", "--config", str(workspace["run_config"]),
                      "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
@@ -554,16 +564,20 @@ def test_no_command_imports_scipy(workspace, tmp_path):
     assert any(re.search(r", spearman rho -?[01]\.\d{3}$", line) for line in done.stdout.splitlines())
 
 
-@pytest.mark.parametrize("noise", [
-    {"law": "constant", "scale": 1e308},
-    {"law": "uniform", "low": 1e308, "high": 1.7e308},
-], ids=["constant", "uniform"])
-def test_generate_out_of_range_noise_gives_one_error_line(noise, tmp_path, capsys):
+@pytest.mark.parametrize("fields", [
+    {"noise": {"law": "constant", "scale": 1e308}},
+    {"noise": {"law": "uniform", "low": 1e308, "high": 1.7e308}},
+    # every value is finite, but 24 of 1e307 sum past the float64 range, so the reader would reject the file
+    {"families": {"noise": 3}, "series_length": 24, "amplitude_range": [1e307, 1e307],
+     "noise": {"law": "constant", "scale": 0.0}},
+], ids=["constant", "uniform", "mean-overflows"])
+def test_generate_out_of_range_noise_gives_one_error_line(fields, tmp_path, capsys):
     config = tmp_path / "generator.json"
-    config.write_text(json.dumps({"families": {"trend": 5, "noise": 5}, "series_length": 6,
-                                  "noise": noise}))
+    config.write_text(json.dumps({"families": {"trend": 5, "noise": 5}, "series_length": 6, **fields}))
     out = tmp_path / "out" / "data.csv"
-    code = main(["generate", "--config", str(config), "--out", str(out)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning must not reach stderr either
+        code = main(["generate", "--config", str(config), "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}: noise ") and "amplitude_range" in err

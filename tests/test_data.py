@@ -300,6 +300,20 @@ class TestGenerator:
             generate_synthetic(base).values, generate_synthetic(alt).values, atol=1e-12
         )
 
+    @pytest.mark.filterwarnings("error")  # no overflow warning on the way to the error
+    @pytest.mark.parametrize("amplitude, rejected", [(1e306, False), (1e307, True)])
+    def test_windows_the_reader_rejects_are_not_drawn(self, amplitude, rejected, tmp_path):
+        """24 finite values of ``amplitude`` sum to 2.4e307 (fine) or 2.4e308 (overflow, as the reader finds)."""
+        config = small_config(families={"noise": 3}, amplitude_range=(amplitude, amplitude),
+                              noise={"law": "constant", "scale": 0.0})
+        if rejected:
+            with pytest.raises(ConfigError) as info:
+                generate_synthetic(config)
+            assert str(info.value).endswith("draw values beyond the float64 range, first in series 0")
+        else:
+            write_series_csv(generate_synthetic(config), tmp_path / "big.csv")
+            assert np.all(read_series_csv(tmp_path / "big.csv").values == amplitude)
+
     def test_all_families_produce_finite_features(self):
         series = generate_synthetic(small_config(noise={"law": "uniform", "low": 0.0, "high": 9.0}))
         assert np.all(np.isfinite(featurize(series.values)))

@@ -62,6 +62,10 @@ class TestModelSpec:
         assert ModelSpec.default("dense", "mc_dropout", 26).dropout_p == 0.5
         assert ModelSpec.default("dense", "point", 26).dropout_p == 0.0
 
+    def test_unknown_backbone_named_by_default(self):
+        with pytest.raises(ConfigError, match=r"^unknown backbone 'conv'$"):
+            ModelSpec.default("conv", "point", 26, desk=True)
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(ConfigError):
             ModelSpec("conv", "point", 26, (8,))
@@ -73,6 +77,36 @@ class TestModelSpec:
             ModelSpec("dense", "point", 26, (8,), dropout_p=1.0)
         with pytest.raises(ConfigError):
             ModelSpec("lstm", "point", 26, (8,), head_size=0)
+
+
+# each desk tower's parameters in order, for input_dim 14 (12 values, mean, std)
+DENSE_DESK_TOWER = [
+    ("layer0.weights", (32, 14)), ("layer0.bias", (32,)),
+    ("layer1.weights", (16, 32)), ("layer1.bias", (16,)),
+    ("out.weights", (1, 16)), ("out.bias", (1,)),
+]
+LSTM_DESK_TOWER = [
+    ("lstm0.w_f", (32, 33)), ("lstm0.w_i", (32, 33)), ("lstm0.w_c", (32, 33)), ("lstm0.w_o", (32, 33)),
+    ("lstm0.b_f", (32,)), ("lstm0.b_i", (32,)), ("lstm0.b_c", (32,)), ("lstm0.b_o", (32,)),
+    ("lstm1.w_f", (32, 64)), ("lstm1.w_i", (32, 64)), ("lstm1.w_c", (32, 64)), ("lstm1.w_o", (32, 64)),
+    ("lstm1.b_f", (32,)), ("lstm1.b_i", (32,)), ("lstm1.b_c", (32,)), ("lstm1.b_o", (32,)),
+    ("head.weights", (32, 34)), ("head.bias", (32,)),
+    ("out.weights", (1, 32)), ("out.bias", (1,)),
+]
+
+
+@pytest.mark.parametrize("uncertainty", UNCERTAINTIES)
+@pytest.mark.parametrize("backbone", BACKBONES)
+def test_parameter_names_shapes_and_order(backbone, uncertainty):
+    """The checkpoint's names and Adam's flat-buffer order, for every model at the desk profile."""
+    tower = DENSE_DESK_TOWER if backbone == "dense" else LSTM_DESK_TOWER
+    expected = [(f"forecast_tower.{name}", shape) for name, shape in tower]
+    if uncertainty == "heteroscedastic":
+        expected += [(f"scale_tower.{name}", shape) for name, shape in tower]
+    if uncertainty == "homoscedastic":
+        expected.append(("scale_pre", (1, 1)))
+    model = build(ModelSpec.default(backbone, uncertainty, 14, desk=True), seed=0)
+    assert [(name, p.data.shape) for name, p in model.parameters().items()] == expected
 
 
 class TestBuild:
@@ -479,8 +513,9 @@ class TestCheckpoints:
         save_checkpoint(model, path)
         doc = path.read_text().replace('"schema_version": 1', '"schema_version": 9')
         path.write_text(doc)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as info:
             load_checkpoint(path)
+        assert str(info.value) == f"{path}: unsupported checkpoint schema_version 9"
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.pop("rng_seed"), ".rng_seed: missing"),
