@@ -80,12 +80,12 @@ class TestModelSpec:
 
 
 # each desk tower's parameters in order, for input_dim 14 (12 values, mean, std)
-DENSE_DESK_TOWER = [
+DESK_DENSE_TOWER = [
     ("layer0.weights", (32, 14)), ("layer0.bias", (32,)),
     ("layer1.weights", (16, 32)), ("layer1.bias", (16,)),
     ("out.weights", (1, 16)), ("out.bias", (1,)),
 ]
-LSTM_DESK_TOWER = [
+DESK_LSTM_TOWER = [
     ("lstm0.w_f", (32, 33)), ("lstm0.w_i", (32, 33)), ("lstm0.w_c", (32, 33)), ("lstm0.w_o", (32, 33)),
     ("lstm0.b_f", (32,)), ("lstm0.b_i", (32,)), ("lstm0.b_c", (32,)), ("lstm0.b_o", (32,)),
     ("lstm1.w_f", (32, 64)), ("lstm1.w_i", (32, 64)), ("lstm1.w_c", (32, 64)), ("lstm1.w_o", (32, 64)),
@@ -99,7 +99,7 @@ LSTM_DESK_TOWER = [
 @pytest.mark.parametrize("backbone", BACKBONES)
 def test_parameter_names_shapes_and_order(backbone, uncertainty):
     """The checkpoint's names and Adam's flat-buffer order, for every model at the desk profile."""
-    tower = DENSE_DESK_TOWER if backbone == "dense" else LSTM_DESK_TOWER
+    tower = DESK_DENSE_TOWER if backbone == "dense" else DESK_LSTM_TOWER
     expected = [(f"forecast_tower.{name}", shape) for name, shape in tower]
     if uncertainty == "heteroscedastic":
         expected += [(f"scale_tower.{name}", shape) for name, shape in tower]
