@@ -47,8 +47,6 @@ from .models import (
     train,
 )
 from .selective import (
-    KEEP_GRID,
-    PredictionRecords,
     error_keep_curve,
     error_score_correlation,
     keep_grid_readout,
@@ -213,31 +211,6 @@ def _load_checkpoints(checkpoints_dir, data_path, data_shape, seeds_filter):
     return models
 
 
-def _matrix_row(by_seed: dict[int, PredictionRecords]) -> dict[float, dict]:
-    """A row's cells: mean, std and per-seed MAE at each keep fraction, from one (seeds x grid) array."""
-    seeds = sorted(by_seed)
-    maes = np.array([list(keep_grid_readout(by_seed[seed]).values()) for seed in seeds])
-    return {
-        k: {
-            "mean": float(column.mean()),
-            "std": float(column.std()),
-            "per_seed": {str(seed): float(mae) for seed, mae in zip(seeds, column)},
-        }
-        for k, column in zip(KEEP_GRID, maes.T)
-    }
-
-
-def _overflowing_seed(row: dict[float, dict]) -> int | None:
-    """None if every cell of ``row`` is finite, else the seed with the largest plain (keep 1.0) MAE.
-
-    The plain MAE averages every error, so it bounds each curve point too.
-    """
-    if np.isfinite([(cell["mean"], cell["std"]) for cell in row.values()]).all():
-        return None
-    plain = row[1.0]["per_seed"]
-    return int(max(plain, key=plain.get))
-
-
 def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filter=None) -> dict:
     dataset = make_dataset(read_series_csv(data_path))
     x, y = dataset.x, dataset.y
@@ -259,16 +232,19 @@ def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filt
         table[f"baseline_{kind}", 0] = (baseline_predict(kind, dataset.values), None, {})
 
     # row name -> {seed: records}; a row views each seed's forecasts through one score
-    row_records: dict[str, dict[int, PredictionRecords]] = {}
-    rows, curves = {}, {}  # curves: file name -> curve
+    row_records = {}
+    rows, curves = {}, {}  # rows: name -> (sorted seeds, (seeds x KEEP_GRID) MAEs); curves: file name -> curve
     with np.errstate(over="ignore", invalid="ignore"):  # errors past float64's range are named below
         for (predictor, seed), (y_hat, _, scores) in table.items():
             for score_name, score in {**scores, "input_variance": var_scores}.items():
                 records = make_records(y, y_hat, score)
                 row_records.setdefault(f"{predictor}+{score_name}", {})[seed] = records
         for row_name, by_seed in row_records.items():
-            rows[row_name] = _matrix_row(by_seed)
-            if (seed := _overflowing_seed(rows[row_name])) is not None:
+            seeds = sorted(by_seed)
+            maes = np.array([list(keep_grid_readout(by_seed[seed]).values()) for seed in seeds])
+            rows[row_name] = seeds, maes
+            if not np.isfinite([(column.mean(), column.std()) for column in maes.T]).all():
+                seed = seeds[maes[:, -1].argmax()]  # blame the largest plain (keep 1.0) MAE, the mean of every error
                 key = (row_name.partition("+")[0], seed)
                 source = models[key][1] if key in models else data_path  # a baseline forecasts from the data
                 raise ValueError(f"{source}: mean absolute error of {row_name} seed {seed} is not finite")
@@ -278,7 +254,7 @@ def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filt
 
     het_rows = [name for name in rows if name.endswith("+predicted_scale")]
     if het_rows:
-        best_row = min(het_rows, key=lambda name: rows[name][1.0]["mean"])
+        best_row = min(het_rows, key=lambda name: rows[name][1][:, -1].mean())
         best_seed = min(row_records[best_row])
         rho, scatter = error_score_correlation(row_records[best_row][best_seed])
         if len(scatter) > run.scatter_rows:
@@ -290,7 +266,7 @@ def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filt
     for name, curve in curves.items():
         write_curve_csv(curve, os.path.join(out_dir, name))
     matrix_path = os.path.join(out_dir, "matrix.json")
-    write_matrix_json(rows, KEEP_GRID, matrix_path)
+    write_matrix_json(rows, matrix_path)
     print(f"wrote {matrix_path} with {len(rows)} rows")
     if het_rows:
         scatter_path = os.path.join(out_dir, "scatter.csv")
@@ -387,29 +363,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data_required: bool):
+    def common(p, data: bool = True):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--data", required=data_required, help="dataset CSV")
+        if data:  # generate reads no dataset
+            p.add_argument("--data", required=True, help="dataset CSV")
         p.add_argument("--out", help=f"output location (default from ${OUT_ENV_VAR})")
         p.add_argument("--seeds", type=_parse_seeds, help="comma-separated seed list")
 
     p = sub.add_parser("generate", help="write a synthetic dataset CSV")
-    common(p, data_required=False)
+    common(p, data=False)
     p.set_defaults(func=_main_generate)
 
     p = sub.add_parser("train", help="train the model grid on a dataset")
-    common(p, data_required=True)
+    common(p)
     p.add_argument("--desk", action="store_true", help="small architecture profile")
     p.add_argument("--jobs", type=_positive_int, default=1, help="parallel training jobs")
     p.set_defaults(func=_main_train)
 
     p = sub.add_parser("evaluate", help="selective-prediction comparison matrix")
-    common(p, data_required=True)
+    common(p)
     p.add_argument("--checkpoints", required=True, help="directory of .ckpt.json files")
     p.set_defaults(func=_main_evaluate)
 
     p = sub.add_parser("cluster", help="k-means over normalized series")
-    common(p, data_required=True)
+    common(p)
     p.set_defaults(func=_main_cluster)
     return parser
 
@@ -480,7 +457,7 @@ def main(argv=None) -> int:
         # a second BLAS thread makes large GEMMs wait for it on a busy machine; forked jobs inherit one
         with _one_blas_thread():
             return args.func(args)
-    except (ConfigError, ShapeError, TrainingError, OSError, ValueError) as exc:
+    except (ValueError, TrainingError, OSError, MemoryError) as exc:  # ConfigError and ShapeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -230,45 +230,34 @@ class GeneratorConfig:
             raise ConfigError(f"unknown noise keys {sorted(extra)}")
 
 
-def _shape_draws(family: str, n_steps: int, lanes: _PCG64Lanes):
-    """What each lane's pattern stream draws after its amplitude."""
-    if family == "periodic":
-        return _integers(lanes, 12)  # phase
-    if family == "spikes":
-        return lanes.doubles(n_steps), _uniform(lanes, 2.0, 4.0, n_steps)  # where, and how high
-    if family == "trend":
-        return _uniform(lanes, -1.0, 1.0)  # slope per amplitude
-    return None
-
-
-def _patterns(family: str, amplitude: np.ndarray, draws, n_steps: int) -> np.ndarray:
+def _patterns(family: str, amplitude: np.ndarray, lanes: _PCG64Lanes, n_steps: int) -> np.ndarray:
     """The deterministic shapes over steps 1..n_steps of a block of one family's series.
 
-    ``amplitude`` is (count, 1) and ``draws`` is ``_shape_draws``'s
-    result. Every element takes the float operations, in the order, that
+    ``amplitude`` is (count, 1), drawn first from the block's pattern ``lanes``, which then give
+    the family's own draws. Every element takes the float operations, in the order, that
     computing one series alone would.
     """
     t = np.arange(1, n_steps + 1, dtype=np.float64)
     if family == "periodic":
         # one row per phase, each computed as for a single series
         waves = np.stack([np.sin(2.0 * np.pi * (t + phase) / 12.0) for phase in range(12)])
-        return amplitude + 0.5 * amplitude * waves[draws]
+        return amplitude + 0.5 * amplitude * waves[_integers(lanes, 12)]
     if family == "spikes":
-        spikes, heights = draws
-        return amplitude + np.where(spikes < 0.1, amplitude * heights, 0.0)
+        spikes = lanes.doubles(n_steps)  # where they are, drawn before how high
+        return amplitude + np.where(spikes < 0.1, amplitude * _uniform(lanes, 2.0, 4.0, n_steps), 0.0)
     if family == "trend":
-        slope = amplitude * draws[:, None] / n_steps
+        slope = amplitude * _uniform(lanes, -1.0, 1.0)[:, None] / n_steps  # slope per amplitude
         return amplitude + slope * t
     return amplitude  # flat, broadcast over the steps
 
 
-def _noise_scales(config: GeneratorConfig, amplitude: np.ndarray, uniform_draws) -> np.ndarray:
-    """Each series' Laplace scale; ``uniform_draws`` holds the uniform law's draws."""
+def _noise_scales(config: GeneratorConfig, amplitude: np.ndarray, lanes: _PCG64Lanes) -> np.ndarray:
+    """Each series' Laplace scale; the uniform law draws it first from the block's noise ``lanes``."""
     noise = config.noise
     if noise["law"] == "constant":
         return np.full(len(amplitude), float(noise["scale"]))
     if noise["law"] == "uniform":
-        return uniform_draws
+        return _uniform(lanes, noise["low"], noise["high"])
     amp_lo, amp_hi = config.amplitude_range
     # one series' scalar expression, with Python's int-to-float conversions written out
     frac = (amplitude - float(amp_lo)) / float(amp_hi - amp_lo)
@@ -471,7 +460,6 @@ def generate_synthetic(config: GeneratorConfig) -> RawSeries:
     counts = [config.families.get(family, 0) for family in FAMILIES]
     z = np.empty((sum(counts), n_steps))
     scales = np.empty(sum(counts))
-    uniform = config.noise["law"] == "uniform"
     start = 0
     # values beyond the float64 range become inf or NaN here and are reported below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -479,12 +467,10 @@ def generate_synthetic(config: GeneratorConfig) -> RawSeries:
             for first in range(start, start + count, _LANE_BLOCK):
                 rows = slice(first, min(first + _LANE_BLOCK, start + count))
                 index = np.arange(rows.start, rows.stop, dtype=np.uint32)
-                pattern = _PCG64Lanes.seeded(config.seed, index, 0)
-                noise = _PCG64Lanes.seeded(config.seed, index, 1)
+                pattern, noise = (_PCG64Lanes.seeded(config.seed, index, stream) for stream in (0, 1))
                 amplitude = _uniform(pattern, *config.amplitude_range)
-                uniform_draws = _uniform(noise, config.noise["low"], config.noise["high"]) if uniform else None
-                scales[rows] = _noise_scales(config, amplitude, uniform_draws)
-                shape = _patterns(family, amplitude[:, None], _shape_draws(family, n_steps, pattern), n_steps)
+                scales[rows] = _noise_scales(config, amplitude, noise)
+                shape = _patterns(family, amplitude[:, None], pattern, n_steps)
                 z[rows] = shape + scales[rows, None] * _laplace(noise, n_steps)
             start += count
     mean, std, _ = _moments(z[:, :-1])  # the reader's rule: a window whose mean or std overflows

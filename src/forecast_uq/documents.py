@@ -48,14 +48,23 @@ class _PathError(ConfigError):
 
 
 def load_json(path, cls):
-    """Parse the JSON file at ``path`` into a ``cls`` instance; a leading byte-order mark is skipped."""
+    """Parse the JSON file at ``path`` into a ``cls`` instance; skips a byte-order mark, rejects a repeated key."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             # not utf-8-sig: one decode of the whole file counts a bad byte's offset from its first byte
-            raw = json.loads(fh.read().removeprefix("\ufeff"))
+            raw = json.loads(fh.read().removeprefix("\ufeff"), object_pairs_hook=_object)
         except (ValueError, RecursionError) as exc:  # malformed, undecodable or too deep
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return from_document(cls, raw, str(path))
+
+
+def _object(pairs) -> dict:
+    """A JSON object's dict; a key it repeats is a ValueError, not a value silently dropped."""
+    if len(doc := dict(pairs)) < len(pairs):
+        seen = set()
+        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))  # set.add returns None
+        raise ValueError(f"repeated key {json.dumps(repeated)}")
+    return doc
 
 
 def write_json(path, doc) -> None:

@@ -193,19 +193,25 @@ def write_scatter_csv(scatter: np.ndarray, path) -> None:
     write_csv(path, ("abs_error", "score"), scatter.tolist())
 
 
-def write_matrix_json(rows: dict, keep_grid: Sequence[float], path) -> None:
-    """Comparison matrix: row name -> {keep K -> {mean, std, per_seed}}.
+def write_matrix_json(rows: dict, path) -> None:
+    """Comparison matrix: row name -> {keep K -> {mean, std, per_seed}} at each KEEP_GRID fraction.
 
-    Row names identify a (predictor, score) pair, e.g.
-    "dense_heteroscedastic+predicted_scale". JSON keys are the grid
-    fractions as strings.
+    ``rows`` maps a row name, such as "dense_heteroscedastic+predicted_scale", to its sorted seeds and
+    their (len(seeds), len(KEEP_GRID)) MAE array, one line per seed; JSON keys are the fractions as strings.
     """
     doc = {
         "schema_version": 1,
-        "keep_grid": [repr(float(k)) for k in keep_grid],
+        "keep_grid": [repr(k) for k in KEEP_GRID],
         "rows": {
-            name: {repr(float(k)): cell for k, cell in row.items()}
-            for name, row in rows.items()
+            name: {
+                repr(k): {
+                    "mean": float(column.mean()),
+                    "std": float(column.std()),
+                    "per_seed": {str(seed): float(mae) for seed, mae in zip(seeds, column)},
+                }
+                for k, column in zip(KEEP_GRID, maes.T)
+            }
+            for name, (seeds, maes) in rows.items()
         },
     }
     write_json(path, doc)

@@ -97,6 +97,42 @@ class TestGenerate:
         assert main(["generate", "--config", str(workspace["gen_config"])]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_data_flag_rejected(self, workspace, tmp_path, capsys):
+        """generate reads no dataset, so ``--data`` is an argument error, not a flag silently ignored."""
+        out = tmp_path / "d.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["generate", "--config", str(workspace["gen_config"]), "--data", str(tmp_path / "none.csv"),
+                  "--out", str(out)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --data" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_large_to_allocate_gives_one_error_line(self, tmp_path, capsys):
+        # 10**15 series of 25 float64 values is 178 PiB, beyond every 48- and 57-bit address
+        # space, so numpy refuses the allocation before it touches memory
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({"families": {"noise": 10**15}, "series_length": 24, "seed": 0}))
+        out = tmp_path / "out" / "data.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["generate", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"families": {"noise": 5}, "seed": 0, "seed": 3, "families": {"trend": 5}}', "seed"),
+        ('{"families": {"noise": 5, "trend": 2, "noise": 3}}', "noise"),
+    ], ids=["top-level", "nested"])
+    def test_repeated_key_rejected(self, tmp_path, capsys, text, key):
+        config = tmp_path / "generator.json"
+        config.write_text(text)
+        out = tmp_path / "out" / "data.csv"
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f'error: {config}: invalid JSON: repeated key "{key}"\n'
+        assert not out.parent.exists()
+
 
 class TestTrain:
     def test_checkpoint_and_history_files(self, workspace):
@@ -225,6 +261,21 @@ class TestEvaluate:
         values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert np.all(values[:, 1] > 0.0)
 
+    def test_scatter_comes_from_the_row_with_the_smallest_plain_mae(self, workspace, tmp_path, capsys):
+        ckpts = tmp_path / "checkpoints"
+        run = dataclasses.replace(load_json(workspace["run_config"], cli.RunConfig),
+                                  models=(cli.ModelPair("lstm", "heteroscedastic"),), seeds=(0,))
+        cli.cmd_train(run, workspace["data"], ckpts)
+        name = "dense_heteroscedastic_seed0.ckpt.json"
+        (ckpts / name).write_bytes((workspace["ckpts"] / name).read_bytes())
+        out = tmp_path / "out"
+        assert main(["evaluate", "--config", str(workspace["run_config"]), "--data", str(workspace["data"]),
+                     "--checkpoints", str(ckpts), "--out", str(out)]) == 0
+        rows = json.loads((out / "matrix.json").read_text())["rows"]
+        plain = {row: rows[row]["1.0"]["mean"] for row in rows if row.endswith("+predicted_scale")}
+        assert len(plain) == len(set(plain.values())) == 2
+        assert f"from {min(plain, key=plain.get)} seed 0, spearman" in capsys.readouterr().out
+
     def test_seed_filter_restricts_per_seed(self, workspace, tmp_path):
         out = tmp_path / "filtered"
         code = main(["evaluate", "--config", str(workspace["run_config"]),
@@ -235,6 +286,23 @@ class TestEvaluate:
         doc = json.loads((out / "matrix.json").read_text())
         cell = doc["rows"]["dense_point+input_variance"]["1.0"]
         assert set(cell["per_seed"]) == {"1"}
+
+    def test_repeated_parameter_name_rejected(self, workspace, tmp_path, capsys):
+        ckpts = tmp_path / "checkpoints"
+        ckpts.mkdir()
+        source = workspace["ckpts"] / "dense_point_seed0.ckpt.json"
+        doc = json.loads(source.read_text())
+        name, saved = next(iter(doc["parameters"].items()))
+        # the first parameter twice: taking the last copy would silently drop the zeroed one
+        entry = json.dumps({name: {**saved, "data": [0.0] * len(saved["data"])}})[1:-1]
+        path = ckpts / source.name
+        path.write_text(json.dumps(doc).replace('"parameters": {', '"parameters": {' + entry + ", ", 1))
+        out = tmp_path / "out"
+        argv = ["evaluate", "--config", str(workspace["run_config"]), "--data", str(workspace["data"]),
+                "--checkpoints", str(ckpts), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f'error: {path}: invalid JSON: repeated key "{name}"\n'
+        assert not out.exists()
 
     def test_duplicate_checkpoints_rejected(self, workspace, tmp_path, capsys):
         dupes = tmp_path / "dupes"
@@ -594,7 +662,8 @@ def test_generate_out_of_range_noise_gives_one_error_line(fields, tmp_path, caps
 ])
 def test_bad_seed_flag_gives_one_error_line(command, config, seeds, message, workspace,
                                             tmp_path, capsys):
-    code = main([command, "--config", str(workspace[config]), "--data", str(workspace["data"]),
+    data = [] if command == "generate" else ["--data", str(workspace["data"])]
+    code = main([command, "--config", str(workspace[config]), *data,
                  "--out", str(tmp_path / "out"), "--seeds", seeds])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"

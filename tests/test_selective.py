@@ -311,19 +311,43 @@ class TestFileFormats:
             write_scatter_csv(np.zeros((3, 4)), tmp_path / "x.csv")
 
     def test_matrix_json_layout(self, tmp_path):
-        rows = {
-            "dense_heteroscedastic+predicted_scale": {
-                0.25: {"mean": 1.0, "std": 0.1, "per_seed": {"0": 0.9, "1": 1.1}},
-                1.0: {"mean": 2.0, "std": 0.2, "per_seed": {"0": 1.8, "1": 2.2}},
-            }
-        }
+        seeds = [2, 5]
+        maes = np.array([[0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
+                         [0.7, 1.1, 1.3, 1.7, 1.9, 2.3]])  # one line per seed, one column per KEEP_GRID fraction
+        rows = {"dense_heteroscedastic+predicted_scale": (seeds, maes),
+                "baseline_last+input_variance": ([0], maes[1:] * 3.0)}
         path = tmp_path / "matrix.json"
-        write_matrix_json(rows, (0.25, 1.0), path)
+        write_matrix_json(rows, path)
         doc = json.loads(path.read_text())
         assert doc["schema_version"] == 1
-        assert doc["keep_grid"] == ["0.25", "1.0"]
-        cell = doc["rows"]["dense_heteroscedastic+predicted_scale"]["0.25"]
-        assert cell["mean"] == 1.0 and cell["per_seed"]["1"] == 1.1
+        assert doc["keep_grid"] == ["0.25", "0.41", "0.5", "0.75", "0.995", "1.0"]
+        for name, (row_seeds, row_maes) in rows.items():
+            assert list(doc["rows"][name]) == doc["keep_grid"]
+            for k, column in zip(doc["keep_grid"], row_maes.T):
+                cell = doc["rows"][name][k]
+                assert cell["mean"] == pytest.approx(sum(column) / len(column), rel=1e-15)
+                spread = math.sqrt(sum((m - cell["mean"]) ** 2 for m in column) / len(column))
+                assert cell["std"] == pytest.approx(spread, rel=1e-12, abs=1e-15)
+                assert cell["per_seed"] == {str(s): m for s, m in zip(row_seeds, column.tolist())}
+        assert doc["rows"]["dense_heteroscedastic+predicted_scale"]["1.0"]["per_seed"] == {"2": 0.6, "5": 2.3}
+        # the same document built cell by cell: {keep -> {mean, std, per_seed}} per row, then written
+        cells = {
+            name: {
+                k: {
+                    "mean": float(column.mean()),
+                    "std": float(column.std()),
+                    "per_seed": {str(s): float(m) for s, m in zip(row_seeds, column)},
+                }
+                for k, column in zip(KEEP_GRID, row_maes.T)
+            }
+            for name, (row_seeds, row_maes) in rows.items()
+        }
+        expected = {
+            "schema_version": 1,
+            "keep_grid": [repr(float(k)) for k in KEEP_GRID],
+            "rows": {name: {repr(float(k)): cell for k, cell in row.items()} for name, row in cells.items()},
+        }
+        assert path.read_text() == json.dumps(expected, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def test_empty_curve_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
