@@ -8,7 +8,9 @@ Run from the repository root:
 import numpy as np
 
 from forecast_uq.losses import elu_plus_one, laplace_nll, mae_loss
-from forecast_uq.nn import Adam, DenseLayer, GradientTape, LstmCell, Tensor, dense_chain
+from forecast_uq.nn.layers import DenseLayer, LstmCell, dense_chain
+from forecast_uq.nn.optim import Adam
+from forecast_uq.nn.tensor import GradientTape, Tensor
 
 
 def finite_difference(loss_fn, param: Tensor, eps: float = 1e-6) -> np.ndarray:

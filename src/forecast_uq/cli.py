@@ -221,34 +221,33 @@ def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filt
     if not models:
         seeds = "" if seeds_filter is None else " for seeds " + ",".join(map(str, sorted(seeds_filter)))
         raise ConfigError(f"{checkpoints_dir}: no checkpoints{seeds}")
-    # (predictor, seed) -> models.forecast's (y_hat, scale, scores), each predicted once
+    # (predictor, seed) -> (file it forecasts from, y_hat, scores), each predicted once
     table = {}
     for key, (model, path) in sorted(models.items()):
         try:
-            table[key] = forecast(model, x, run.mc_samples)
+            y_hat, _, scores = forecast(model, x, run.mc_samples)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    for kind in BASELINES:  # a baseline sits at seed 0
-        table[f"baseline_{kind}", 0] = (baseline_predict(kind, dataset.values), None, {})
+        table[key] = path, y_hat, scores
+    for kind in BASELINES:  # a baseline sits at seed 0 and forecasts from the data
+        table[f"baseline_{kind}", 0] = data_path, baseline_predict(kind, dataset.values), {}
 
-    # row name -> {seed: records}; a row views each seed's forecasts through one score
+    # row name -> {seed: (file, records)}; a row views each seed's forecasts through one score
     row_records = {}
     rows, curves = {}, {}  # rows: name -> (sorted seeds, (seeds x KEEP_GRID) MAEs); curves: file name -> curve
     with np.errstate(over="ignore", invalid="ignore"):  # errors past float64's range are named below
-        for (predictor, seed), (y_hat, _, scores) in table.items():
+        for (predictor, seed), (path, y_hat, scores) in table.items():
             for score_name, score in {**scores, "input_variance": var_scores}.items():
                 records = make_records(y, y_hat, score)
-                row_records.setdefault(f"{predictor}+{score_name}", {})[seed] = records
+                row_records.setdefault(f"{predictor}+{score_name}", {})[seed] = path, records
         for row_name, by_seed in row_records.items():
             seeds = sorted(by_seed)
-            maes = np.array([list(keep_grid_readout(by_seed[seed]).values()) for seed in seeds])
+            maes = np.array([list(keep_grid_readout(by_seed[seed][1]).values()) for seed in seeds])
             rows[row_name] = seeds, maes
             if not np.isfinite([(column.mean(), column.std()) for column in maes.T]).all():
                 seed = seeds[maes[:, -1].argmax()]  # blame the largest plain (keep 1.0) MAE, the mean of every error
-                key = (row_name.partition("+")[0], seed)
-                source = models[key][1] if key in models else data_path  # a baseline forecasts from the data
-                raise ValueError(f"{source}: mean absolute error of {row_name} seed {seed} is not finite")
-            for seed, records in by_seed.items():
+                raise ValueError(f"{by_seed[seed][0]}: mean absolute error of {row_name} seed {seed} is not finite")
+            for seed, (_, records) in by_seed.items():
                 suffix = "" if row_name.startswith("baseline_") else f"_seed{seed}"
                 curves[f"curve_{row_name}{suffix}.csv"] = error_keep_curve(records, run.curve_points)
 
@@ -256,7 +255,7 @@ def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filt
     if het_rows:
         best_row = min(het_rows, key=lambda name: rows[name][1][:, -1].mean())
         best_seed = min(row_records[best_row])
-        rho, scatter = error_score_correlation(row_records[best_row][best_seed])
+        rho, scatter = error_score_correlation(row_records[best_row][best_seed][1])
         if len(scatter) > run.scatter_rows:
             rng = np.random.default_rng(best_seed)
             pick = np.sort(rng.choice(len(scatter), size=run.scatter_rows, replace=False))

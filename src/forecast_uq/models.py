@@ -26,7 +26,9 @@ from .data import Dataset, split
 from .documents import check_kinds, load_json, write_json
 from .exceptions import ConfigError, ShapeError, TrainingError
 from .losses import DEFAULT_SCALE_FLOOR, elu_plus_one, laplace_nll, mae_loss
-from .nn import Adam, DenseLayer, GradientTape, LstmCell, Tensor, concat, dense_chain
+from .nn.layers import DenseLayer, LstmCell, dense_chain
+from .nn.optim import Adam
+from .nn.tensor import GradientTape, Tensor, concat
 
 __all__ = [
     "BACKBONES",
@@ -35,6 +37,7 @@ __all__ = [
     "Model",
     "ModelSpec",
     "TrainConfig",
+    "UNCERTAINTIES",
     "baseline_predict",
     "build",
     "forecast",
@@ -165,16 +168,19 @@ def _named(**parts) -> dict[str, Tensor]:
     return named
 
 
-class _DenseTower:
+class _Tower:
+    def forward(self, x: np.ndarray, dropout_p: float = 0.0, rng=None) -> Tensor:
+        """The dropout-free ``trunk``, then the ``tail``, which draws every dropout mask."""
+        return self.tail(self.trunk(x), x, dropout_p, rng)
+
+
+class _DenseTower(_Tower):
     """Hidden relu layers of ``spec.layer_sizes`` plus a 1-unit identity output layer."""
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator):
         widths = (spec.input_dim, *spec.layer_sizes)
         self.hidden = [DenseLayer.create(a, b, "relu", rng) for a, b in zip(widths, widths[1:])]
         self.out = DenseLayer.create(widths[-1], 1, "identity", rng)
-
-    def forward(self, x: np.ndarray, dropout_p: float = 0.0, rng=None) -> Tensor:
-        return self.tail(self.trunk(x), x, dropout_p, rng)
 
     def trunk(self, x: np.ndarray) -> Tensor:
         """The first hidden layer: everything before the first dropout mask."""
@@ -194,7 +200,7 @@ class _DenseTower:
         return _named(**{f"layer{i}": layer for i, layer in enumerate(self.hidden)}, out=self.out)
 
 
-class _LstmTower:
+class _LstmTower(_Tower):
     """Stacked LSTM cells of ``spec.layer_sizes`` over the normalized values, then a dense head.
 
     The series part of the input feeds the stack one value per step; the
@@ -208,9 +214,6 @@ class _LstmTower:
         self.cells = [LstmCell.create(a, b, rng) for a, b in zip(widths, widths[1:])]
         self.head = DenseLayer.create(widths[-1] + 2, spec.head_size, "relu", rng)
         self.out = DenseLayer.create(spec.head_size, 1, "identity", rng)
-
-    def forward(self, x: np.ndarray, dropout_p: float = 0.0, rng=None) -> Tensor:
-        return self.tail(self.trunk(x), x, dropout_p, rng)
 
     def trunk(self, x: np.ndarray) -> Tensor:
         """The cell stack's final hidden state: everything before the first dropout mask."""
@@ -247,9 +250,6 @@ class Model:
 
     def parameters(self) -> dict[str, Tensor]:
         return _named(forecast_tower=self.forecast_tower, scale_tower=self.scale_tower, scale_pre=self.scale_pre)
-
-    def forward_mean(self, x: np.ndarray, dropout_p: float = 0.0, rng=None) -> Tensor:
-        return self.forecast_tower.forward(x, dropout_p, rng)
 
     def forward_scale(self, x: np.ndarray) -> Tensor | None:
         """Positive noise scale as a tensor; None for a model with neither scale part."""
@@ -293,7 +293,7 @@ def predict(model: Model, x):
     One sample is a one-row batch.
     """
     batch = _as_batch(x, model.spec.input_dim)
-    mu = model.forward_mean(batch).data.ravel()
+    mu = model.forecast_tower.forward(batch).data.ravel()
     scale_t = model.forward_scale(batch)
     if scale_t is None:
         return mu, None
@@ -307,7 +307,7 @@ def mc_dropout_predict(model: Model, x, n_samples: int, seed: int = 0):
     dropout_p = 0 every pass is the plain forward, so the spread is
     exactly zero. Std is the population (divide-by-n) convention. The
     tower's dropout-free trunk runs once and every pass reuses it, which
-    gives the same bits as ``n_samples`` full ``forward_mean`` passes.
+    gives the same bits as ``n_samples`` full ``forward`` passes.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
@@ -362,7 +362,7 @@ def input_variance_score(values) -> np.ndarray:
 
 def _batch_loss(model: Model, x: np.ndarray, y: np.ndarray, training: bool, rng):
     dropout_p = model.spec.dropout_p if training else 0.0
-    mu = model.forward_mean(x, dropout_p, rng)
+    mu = model.forecast_tower.forward(x, dropout_p, rng)
     targets = Tensor(y[:, None])
     scales = model.forward_scale(x)
     if scales is None:

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "GradientTape", "affine", "as_tensor", "concat"]
+__all__ = ["Tensor", "GradientTape", "affine", "as_tensor", "concat", "will_record"]
 
 _state = threading.local()  # .tape: this thread's recording tape, if any
 

@@ -13,7 +13,7 @@ Keeping nothing leaves the error undefined, reported as NaN rather than
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -38,8 +38,6 @@ __all__ = [
 
 # Fixed readout fractions for side-by-side model tables.
 KEEP_GRID = (0.25, 0.41, 0.5, 0.75, 0.995, 1.0)
-
-_CURVE_COLUMNS = ("threshold", "keep_fraction", "mae", "n_kept")  # ErrorKeepCurve fields, CSV header
 
 
 @dataclass(frozen=True)
@@ -170,6 +168,8 @@ def error_score_correlation(records: PredictionRecords):
 
 # -- file formats ------------------------------------------------------------
 
+_CURVE_COLUMNS = tuple(field.name for field in fields(ErrorKeepCurve))  # the curve CSV header
+
 
 def write_curve_csv(curve: ErrorKeepCurve, path) -> None:
     write_csv(path, _CURVE_COLUMNS, zip(*(getattr(curve, name).tolist() for name in _CURVE_COLUMNS)))
@@ -199,6 +199,9 @@ def write_matrix_json(rows: dict, path) -> None:
     ``rows`` maps a row name, such as "dense_heteroscedastic+predicted_scale", to its sorted seeds and
     their (len(seeds), len(KEEP_GRID)) MAE array, one line per seed; JSON keys are the fractions as strings.
     """
+    for name, (seeds, maes) in rows.items():
+        if np.shape(maes) != (len(seeds), len(KEEP_GRID)):
+            raise ValueError(f"row {name}: MAEs of shape {np.shape(maes)}, expected ({len(seeds)}, {len(KEEP_GRID)})")
     doc = {
         "schema_version": 1,
         "keep_grid": [repr(k) for k in KEEP_GRID],

@@ -30,7 +30,7 @@ from forecast_uq.models import (
     predict,
     train,
 )
-from forecast_uq.nn import GradientTape, Tensor
+from forecast_uq.nn.tensor import GradientTape, Tensor
 from forecast_uq.selective import (
     KEEP_GRID,
     error_keep_curve,
@@ -145,7 +145,7 @@ def test_criterion_1_gradient_correctness():
         y = clean + rng.uniform(0.5, 2.0, size=3) * rng.choice([-1.0, 1.0], size=3)
 
         def loss_fn():
-            mu = model.forward_mean(x)
+            mu = model.forecast_tower.forward(x)
             scales = model.forward_scale(x)
             return laplace_nll(Tensor(y[:, None]), mu, scales) / float(len(y))
 

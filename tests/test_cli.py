@@ -430,6 +430,28 @@ class TestEvaluate:
             f"error: {path}: mean absolute error of dense_point+input_variance seed {blamed} is not finite\n")
         assert not out.exists()
 
+    def test_errors_too_large_to_average_from_a_baseline_name_the_data_file(self, workspace, tmp_path, capsys):
+        """A baseline forecasts from the data file, so its overflowing MAE names that file."""
+        data = tmp_path / "huge_targets.csv"
+        values = np.random.default_rng(0).uniform(1.0, 5.0, size=(6, 8))
+        write_series_csv(RawSeries(values=values, target=np.full(6, 1e308)), data)
+        ckpts = tmp_path / "checkpoints"
+        ckpts.mkdir()
+        name = "dense_point_seed0.ckpt.json"
+        doc = json.loads((workspace["ckpts"] / name).read_text())
+        for param, saved in doc["parameters"].items():  # a constant forecast of 1e308 hits every target
+            saved["data"] = [1e308 if param == "forecast_tower.out.bias" else 0.0] * len(saved["data"])
+        (ckpts / name).write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["evaluate", "--config", str(workspace["run_config"]), "--data", str(data),
+                "--checkpoints", str(ckpts), "--out", str(out), "--seeds", "0"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning must not reach stderr either
+            assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}: mean absolute error of baseline_mean+input_variance seed 0 is not finite\n")
+        assert not out.exists()
+
 
 class TestCluster:
     def test_centroids_table(self, cluster_results):
@@ -515,8 +537,9 @@ class TestMalformedCsv:
         ("value_1,value_2,target,true_scale\n1.0,nan,3.0,1.0\n", ", line 2: non-finite cell"),
         ("true_scale,value_1,target\n1.5,2.0,3.0\n", BAD_HEADER),
         ("value_1,value_2,target,true_scale,true_scale\n1,2,3,4,-1\n", BAD_HEADER),
+        ("value_1,target\n1.0,2.0\n", ": need at least 2 value columns before 'target'"),
     ], ids=["header-only", "one-column-blank", "blank-middle-line", "nan-cell", "scale-before-target",
-            "scale-twice"])
+            "scale-twice", "one-value-column"])
     @pytest.mark.parametrize("command", ["train", "evaluate", "cluster"])
     def test_whole_file_gives_exactly_one_error_line(self, workspace, tmp_path, capsys, command,
                                                      text, message):
@@ -690,6 +713,25 @@ def test_jobs_below_one_rejected(value, workspace, tmp_path, capsys):
         main(["train", "--data", str(workspace["data"]), "--out", str(tmp_path), "--jobs", value])
     assert info.value.code == 2
     assert f"argument --jobs: must be at least 1, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seeds", "1,x", "argument --seeds: bad seed list '1,x'"),
+    ("--seeds", ",", "argument --seeds: seed list is empty"),
+    ("--jobs", "two", "argument --jobs: expected an integer, got 'two'"),
+])
+def test_malformed_flag_value_exits_2_with_one_error_line(flag, value, message, workspace, tmp_path, capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--data", str(workspace["data"]), "--out", str(out), flag, value])
+    assert info.value.code == 2
+    # argparse prints its usage block first; the one error line ends stderr
+    usage, error = capsys.readouterr().err.rstrip("\n").rsplit("\n", 1)
+    assert usage.startswith("usage: forecast-uq train ") and "error" not in usage
+    assert error == f"forecast-uq train: error: {message}"
+    assert not out.exists()
 
 
 def test_pool_never_exceeds_the_job_count(workspace, tmp_path, monkeypatch):

@@ -195,6 +195,14 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(points, k=4, seed=0)
 
+    @pytest.mark.parametrize("points, max_iter, message", [
+        (np.zeros(5), 10, r"^expected a 2-D array of series, got shape \(5,\)$"),
+        (np.zeros((5, 2)), 0, r"^max_iter must be at least 1$"),
+    ], ids=["one-dimensional", "no-iterations"])
+    def test_malformed_call_rejected(self, points, max_iter, message):
+        with pytest.raises(ValueError, match=message):
+            kmeans(points, k=2, seed=0, max_iter=max_iter)
+
     def test_recovers_shape_families_after_normalization(self):
         # two shapes of very different monetary scales; normalization makes
         # clustering see the shape, not the scale

@@ -176,6 +176,12 @@ def test_numpy_integers_are_stored_as_python_ints():
     assert type(spec.input_dim) is int and type(spec.layer_sizes[0]) is int
 
 
+def test_a_value_json_cannot_show_is_named_by_its_repr():
+    with pytest.raises(ConfigError) as info:
+        TrainConfig(max_epochs=np.float32(2.5))
+    assert str(info.value) == "max_epochs: expected an integer, got np.float32(2.5)"
+
+
 def test_python_values_are_stored_as_a_document_stores_them():
     doc = {"train": {"learning_rate": 1}, "seeds": [3, 4],
            "models": [{"backbone": "lstm", "uncertainty": "point"}]}
@@ -274,6 +280,24 @@ PROBES = [
      "generator.json: seed must be non-negative, got -1"),
     ("run", '{"train": {"seed": 5}}', "run.json: train.seed is set per job by seeds; remove it"),
     ("run", '{"train": {"seed": -1}}', "run.json.train: seed must be non-negative"),
+    ("run", '{"schema_version": 2}', "run.json: unsupported schema_version 2"),
+    ("run", '{"seeds": []}', "run.json: seeds must be nonempty"),
+    ("run", '{"models": [{"backbone": "cnn", "uncertainty": "point"}]}',
+     "run.json: unknown model ('cnn', 'point')"),
+    ("run", '{"mc_samples": 1}', "run.json: mc_samples must be at least 2"),
+    ("run", '{"curve_points": 1}', "run.json: curve_points must be at least 2"),
+    ("run", '{"scatter_rows": 0}', "run.json: scatter_rows must be positive"),
+    ("run", '{"k": 0}', "run.json: k must be positive"),
+    ("run", '{"train": {"max_epochs": 0}}', "run.json.train: max_epochs must be at least 1"),
+    ("run", '{"train": {"patience": 0}}', "run.json.train: patience must be at least 1"),
+    ("run", '{"train": {"validation_fraction": 1.0}}', "run.json.train: validation_fraction must be in (0, 1)"),
+    ("run", '{"train": {"batch_size": 0}}', "run.json.train: batch_size must be at least 1"),
+    ("generator", '{"families": {}}', "generator.json: families must name at least one pattern family"),
+    ("generator", '{"families": {"trend": 3}, "noise": {"law": "amplitude_linear", "low": 1.0, "high": -2.0}}',
+     "generator.json: amplitude_linear noise needs nonnegative low and high"),
+    ("generator", '{"families": {"trend": 3}, "amplitude_range": [5.0, 5.0], '
+                  '"noise": {"law": "amplitude_linear", "low": 1.0, "high": 2.0}}',
+     "generator.json: amplitude_linear noise needs a non-degenerate amplitude_range"),
 ]
 
 # Each document's valid base, and the JSON kinds each path accepts. Paths
@@ -671,20 +695,25 @@ def cli_files(tmp_path_factory):
     return paths, argv, bases
 
 
-def _run_cli(cli_files, name: str, text: str) -> tuple[int, str]:
+def _run_cli(cli_files, name: str, text: str, out=None) -> tuple[int, str]:
+    """Run the command that reads document ``name`` holding ``text``; ``out`` replaces its ``--out``."""
     paths, argv, _ = cli_files
     paths[name].write_text(text, encoding="utf-8")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv[name])
+        code = main(argv[name] if out is None else [*argv[name][:-1], str(out)])  # --out comes last
     return code, err.getvalue()
 
 
 @pytest.mark.parametrize("name, text, message", PROBES)
-def test_probe_messages(cli_files, name, text, message):
-    code, err = _run_cli(cli_files, name, text)
+def test_probe_messages(cli_files, tmp_path, name, text, message):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning printed before the error line fails too
+        code, err = _run_cli(cli_files, name, text, out)
     assert code == 1
     assert err == f"error: {cli_files[0][name].parent}/{message}\n"
+    assert not out.exists()
 
 
 class Refused(Exception):

@@ -16,7 +16,9 @@ import pytest
 from forecast_uq.exceptions import ShapeError
 from forecast_uq.losses import DEFAULT_SCALE_FLOOR, elu_plus_one, laplace_nll, mae_loss
 from forecast_uq.models import BACKBONES, ModelSpec, _batch_loss, build, mc_dropout_predict, predict
-from forecast_uq.nn import Adam, DenseLayer, GradientTape, Tensor, affine, as_tensor, concat, dense_chain
+from forecast_uq.nn.layers import DenseLayer, dense_chain
+from forecast_uq.nn.optim import Adam
+from forecast_uq.nn.tensor import GradientTape, Tensor, affine, as_tensor, concat
 
 import reference_ops as ops
 from test_tensor import check_gradient

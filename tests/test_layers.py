@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from forecast_uq.exceptions import ShapeError
-from forecast_uq.nn import DenseLayer, GradientTape, LstmCell, Tensor
+from forecast_uq.nn.layers import DenseLayer, LstmCell
+from forecast_uq.nn.tensor import GradientTape, Tensor
 
 import reference_ops as ops
 from test_tensor import check_gradient

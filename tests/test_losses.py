@@ -12,7 +12,7 @@ from forecast_uq.losses import (
     laplace_nll,
     mae_loss,
 )
-from forecast_uq.nn import GradientTape, Tensor
+from forecast_uq.nn.tensor import GradientTape, Tensor
 
 import reference_ops as ops
 from test_tensor import check_gradient

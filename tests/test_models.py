@@ -27,7 +27,8 @@ from forecast_uq.models import (
     train,
 )
 from forecast_uq import models
-from forecast_uq.nn import GradientTape, LstmCell, Tensor
+from forecast_uq.nn.layers import LstmCell
+from forecast_uq.nn.tensor import GradientTape, Tensor
 from forecast_uq.losses import DEFAULT_SCALE_FLOOR, laplace_nll
 
 
@@ -237,7 +238,7 @@ class TestMcDropout:
         x = np.random.default_rng(4).normal(size=(9, 14))
         rng = np.random.default_rng(5)
         samples = np.stack(
-            [model.forward_mean(x, model.spec.dropout_p, rng).data.ravel() for _ in range(6)]
+            [model.forecast_tower.forward(x, model.spec.dropout_p, rng).data.ravel() for _ in range(6)]
         )
         mean, std = mc_dropout_predict(model, x, n_samples=6, seed=5)
         assert np.array_equal(mean, samples.mean(axis=0))
@@ -390,7 +391,7 @@ class TestTrain:
         x, y = ds.x, ds.y
         params = model.parameters()
         with GradientTape() as tape:
-            mu = model.forward_mean(x)
+            mu = model.forecast_tower.forward(x)
             scales = model.forward_scale(x)
             loss = laplace_nll(Tensor(y[:, None]), mu, scales) / len(y)
         grads = tape.gradients(loss, params.values())
@@ -473,6 +474,22 @@ class TestTrain:
         with pytest.raises(ConfigError, match="seed must be non-negative"):
             TrainConfig(seed=-1)
 
+    def test_data_of_another_width_rejected(self):
+        model = build(ModelSpec.default("dense", "point", 16, desk=True), seed=0)
+        with pytest.raises(ShapeError, match=r"^model expects input_dim 16, data has 14$"):
+            train(model, tiny_dataset(50), TrainConfig(max_epochs=1))
+
+    def test_non_finite_validation_loss_names_the_epoch(self, monkeypatch):
+        batch_loss = models._batch_loss
+
+        def nan_on_validation(model, x, y, training, rng):
+            return batch_loss(model, x, y, training, rng) if training else Tensor(np.nan)
+
+        monkeypatch.setattr(models, "_batch_loss", nan_on_validation)
+        model = build(ModelSpec.default("dense", "point", 14, desk=True), seed=0)
+        with pytest.raises(TrainingError, match=r"^non-finite validation loss at epoch 1$"):
+            train(model, tiny_dataset(50), TrainConfig(max_epochs=2, patience=2, batch_size=16, seed=0))
+
     @pytest.mark.parametrize("field", ["learning_rate", "eps"])
     def test_nan_step_size_rejected(self, field):
         with pytest.raises(ConfigError) as info:
@@ -536,6 +553,12 @@ class TestCheckpoints:
          ".training_config.beta1: expected a finite number, got true"),
         (lambda doc: doc["parameters"]["forecast_tower.layer0.weights"]["data"].__setitem__(1, True),
          '.parameters."forecast_tower.layer0.weights": data must be a flat list of finite numbers'),
+        (lambda doc: doc["architecture"].update(input_dim=0),
+         ".architecture: dense backbone needs input_dim >= 1"),
+        (lambda doc: doc["architecture"].update(head_size=4),
+         ".architecture: head_size applies only to the lstm backbone"),
+        (lambda doc: doc["architecture"].update(backbone="lstm", input_dim=2, head_size=2),
+         ".architecture: lstm backbone needs input_dim >= 3"),
     ])
     def test_malformed_document_rejected(self, tmp_path, edit, message):
         model = build(ModelSpec("dense", "homoscedastic", 3, (2,)), seed=0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from forecast_uq.exceptions import TrainingError
-from forecast_uq.nn import Adam, GradientTape, Tensor
+from forecast_uq.nn.optim import Adam
+from forecast_uq.nn.tensor import GradientTape, Tensor
 
 import reference_ops as ops
 

@@ -349,6 +349,13 @@ class TestFileFormats:
         }
         assert path.read_text() == json.dumps(expected, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
+    def test_matrix_row_of_another_shape_rejected_before_writing(self, tmp_path):
+        # three seeds' MAEs at two fractions under two seeds would pair only two of each
+        path = tmp_path / "matrix.json"
+        with pytest.raises(ValueError, match=r"^row r: MAEs of shape \(3, 2\), expected \(2, 6\)$"):
+            write_matrix_json({"r": ([0, 1], np.ones((3, 2)))}, path)
+        assert not path.exists()
+
     def test_empty_curve_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("threshold,keep_fraction,mae,n_kept\n")

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from forecast_uq.nn import GradientTape, Tensor, affine, as_tensor, concat
+from forecast_uq.nn.tensor import GradientTape, Tensor, affine, as_tensor, concat
 
 import reference_ops as ops
 
@@ -157,6 +157,14 @@ class TestTape:
         grads = tape.gradients(loss, [p, q])
         np.testing.assert_allclose(grads[p], np.full((2, 3), 3.0))
         assert grads[q].shape == (4,) and not grads[q].any()
+
+    def test_an_op_the_loss_never_reads_adds_nothing(self):
+        p = Tensor(np.ones(2), requires_grad=True)
+        with GradientTape() as tape:
+            unread = p * 7.0  # recorded, but no path leads from it to the loss
+            loss = ops.sum(p * 2.0)
+        assert len(tape._records) == 3 and tape._records[0][1] is unread
+        np.testing.assert_allclose(tape.gradients(loss, [p])[p], np.full(2, 2.0))
 
     def test_loss_must_be_scalar(self):
         p = Tensor(np.ones(3), requires_grad=True)
