@@ -19,8 +19,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-import numpy as np
-
 from .cluster import kmeans
 from .data import (
     GeneratorConfig,
@@ -46,15 +44,7 @@ from .models import (
     save_checkpoint,
     train,
 )
-from .selective import (
-    error_keep_curve,
-    error_score_correlation,
-    keep_grid_readout,
-    make_records,
-    write_curve_csv,
-    write_matrix_json,
-    write_scatter_csv,
-)
+from .selective import evaluation_report, write_curve_csv, write_matrix_json, write_scatter_csv
 
 __all__ = [
     "OUT_ENV_VAR",
@@ -232,34 +222,7 @@ def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filt
     for kind in BASELINES:  # a baseline sits at seed 0 and forecasts from the data
         table[f"baseline_{kind}", 0] = data_path, baseline_predict(kind, dataset.values), {}
 
-    # row name -> {seed: (file, records)}; a row views each seed's forecasts through one score
-    row_records = {}
-    rows, curves = {}, {}  # rows: name -> (sorted seeds, (seeds x KEEP_GRID) MAEs); curves: file name -> curve
-    with np.errstate(over="ignore", invalid="ignore"):  # errors past float64's range are named below
-        for (predictor, seed), (path, y_hat, scores) in table.items():
-            for score_name, score in {**scores, "input_variance": var_scores}.items():
-                records = make_records(y, y_hat, score)
-                row_records.setdefault(f"{predictor}+{score_name}", {})[seed] = path, records
-        for row_name, by_seed in row_records.items():
-            seeds = sorted(by_seed)
-            maes = np.array([list(keep_grid_readout(by_seed[seed][1]).values()) for seed in seeds])
-            rows[row_name] = seeds, maes
-            if not np.isfinite([(column.mean(), column.std()) for column in maes.T]).all():
-                seed = seeds[maes[:, -1].argmax()]  # blame the largest plain (keep 1.0) MAE, the mean of every error
-                raise ValueError(f"{by_seed[seed][0]}: mean absolute error of {row_name} seed {seed} is not finite")
-            for seed, (_, records) in by_seed.items():
-                suffix = "" if row_name.startswith("baseline_") else f"_seed{seed}"
-                curves[f"curve_{row_name}{suffix}.csv"] = error_keep_curve(records, run.curve_points)
-
-    het_rows = [name for name in rows if name.endswith("+predicted_scale")]
-    if het_rows:
-        best_row = min(het_rows, key=lambda name: rows[name][1][:, -1].mean())
-        best_seed = min(row_records[best_row])
-        rho, scatter = error_score_correlation(row_records[best_row][best_seed][1])
-        if len(scatter) > run.scatter_rows:
-            rng = np.random.default_rng(best_seed)
-            pick = np.sort(rng.choice(len(scatter), size=run.scatter_rows, replace=False))
-            scatter = scatter[pick]
+    rows, curves, scatter = evaluation_report(y, table, var_scores, run.curve_points, run.scatter_rows)
 
     os.makedirs(out_dir, exist_ok=True)
     for name, curve in curves.items():
@@ -267,13 +230,11 @@ def cmd_evaluate(run: RunConfig, checkpoints_dir, data_path, out_dir, seeds_filt
     matrix_path = os.path.join(out_dir, "matrix.json")
     write_matrix_json(rows, matrix_path)
     print(f"wrote {matrix_path} with {len(rows)} rows")
-    if het_rows:
+    if scatter is not None:
+        row, seed, rho, pairs = scatter
         scatter_path = os.path.join(out_dir, "scatter.csv")
-        write_scatter_csv(scatter, scatter_path)
-        print(
-            f"wrote {scatter_path} ({len(scatter)} rows) from {best_row} seed {best_seed}, "
-            f"spearman rho {rho:.3f}"
-        )
+        write_scatter_csv(pairs, scatter_path)
+        print(f"wrote {scatter_path} ({len(pairs)} rows) from {row} seed {seed}, spearman rho {rho:.3f}")
     return rows
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "PredictionRecords",
     "error_keep_curve",
     "error_score_correlation",
+    "evaluation_report",
     "keep_grid_readout",
     "mae_at_keep",
     "mae_at_threshold",
@@ -164,6 +165,49 @@ def error_score_correlation(records: PredictionRecords):
         return math.nan, scatter
     rho = float(np.corrcoef(_average_ranks(errors), _average_ranks(scores))[0, 1])
     return rho, scatter
+
+
+def evaluation_report(y, table, shared_score, curve_points: int, scatter_rows: int):
+    """Every number ``evaluate`` writes, from its forecast table alone; reads and writes no file.
+
+    ``table`` maps (predictor, seed) to (file, y_hat, scores): the file forecast from, the forecasts of ``y``
+    and the model's own scores by name. Each entry is viewed through each of its scores, then through
+    ``shared_score`` as ``input_variance``, as the row ``<predictor>+<score>``. Returns (rows, curves,
+    scatter): ``rows`` as ``write_matrix_json`` takes them; ``curves`` maps ``curve_<row>_seed<n>.csv``
+    (no suffix for a baseline) to its curve; ``scatter`` is None, or (row, seed, rho, pairs) for the
+    ``+predicted_scale`` row with the smallest mean plain MAE at its lowest seed, rho over every record
+    and the pairs subsampled to ``scatter_rows`` by ``default_rng(seed)``. A row whose MAEs, or their mean
+    or std over seeds, overflow raises ``ValueError`` naming the file of its largest plain MAE.
+    """
+    # row name -> {seed: (file, records)}; a row views each seed's forecasts through one score
+    row_records = {}
+    rows, curves = {}, {}  # rows: name -> (sorted seeds, (seeds x KEEP_GRID) MAEs); curves: file name -> curve
+    with np.errstate(over="ignore", invalid="ignore"):  # errors past float64's range are named below
+        for (predictor, seed), (path, y_hat, scores) in table.items():
+            for score_name, score in {**scores, "input_variance": shared_score}.items():
+                records = make_records(y, y_hat, score)
+                row_records.setdefault(f"{predictor}+{score_name}", {})[seed] = path, records
+        for row_name, by_seed in row_records.items():
+            seeds = sorted(by_seed)
+            maes = np.array([list(keep_grid_readout(by_seed[seed][1]).values()) for seed in seeds])
+            rows[row_name] = seeds, maes
+            if not np.isfinite([(column.mean(), column.std()) for column in maes.T]).all():
+                seed = seeds[maes[:, -1].argmax()]  # blame the largest plain (keep 1.0) MAE, the mean of every error
+                raise ValueError(f"{by_seed[seed][0]}: mean absolute error of {row_name} seed {seed} is not finite")
+            for seed, (_, records) in by_seed.items():
+                suffix = "" if row_name.startswith("baseline_") else f"_seed{seed}"
+                curves[f"curve_{row_name}{suffix}.csv"] = error_keep_curve(records, curve_points)
+
+    scale_rows = [name for name in rows if name.endswith("+predicted_scale")]
+    if not scale_rows:
+        return rows, curves, None
+    row = min(scale_rows, key=lambda name: rows[name][1][:, -1].mean())
+    seed = min(row_records[row])
+    rho, pairs = error_score_correlation(row_records[row][seed][1])
+    if len(pairs) > scatter_rows:
+        rng = np.random.default_rng(seed)
+        pairs = pairs[np.sort(rng.choice(len(pairs), size=scatter_rows, replace=False))]
+    return rows, curves, (row, seed, rho, pairs)
 
 
 # -- file formats ------------------------------------------------------------

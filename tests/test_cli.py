@@ -276,6 +276,18 @@ class TestEvaluate:
         assert len(plain) == len(set(plain.values())) == 2
         assert f"from {min(plain, key=plain.get)} seed 0, spearman" in capsys.readouterr().out
 
+    def test_a_grid_without_a_scale_row_writes_no_scatter(self, workspace, tmp_path, capsys):
+        ckpts = tmp_path / "checkpoints"
+        ckpts.mkdir()
+        name = "dense_point_seed0.ckpt.json"
+        (ckpts / name).write_bytes((workspace["ckpts"] / name).read_bytes())
+        out = tmp_path / "out"
+        assert main(["evaluate", "--config", str(workspace["run_config"]), "--data", str(workspace["data"]),
+                     "--checkpoints", str(ckpts), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out / 'matrix.json'} with 4 rows\n"
+        curves = ["dense_point+input_variance_seed0"] + [f"baseline_{b}+input_variance" for b in models.BASELINES]
+        assert sorted(p.name for p in out.iterdir()) == sorted(["matrix.json"] + [f"curve_{c}.csv" for c in curves])
+
     def test_seed_filter_restricts_per_seed(self, workspace, tmp_path):
         out = tmp_path / "filtered"
         code = main(["evaluate", "--config", str(workspace["run_config"]),

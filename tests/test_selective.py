@@ -1,7 +1,10 @@
 """Threshold selection, error-keep curves, rank diagnostics, file formats."""
 
+import builtins
 import json
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from forecast_uq.selective import (
     KEEP_GRID,
     error_keep_curve,
     error_score_correlation,
+    evaluation_report,
     keep_grid_readout,
     mae_at_keep,
     mae_at_threshold,
@@ -253,6 +257,57 @@ class TestMakeRecords:
         arrays[field][2] = value
         with pytest.raises(ValueError, match=f"^{field} must be finite, got .* at index 2$"):
             make_records(arrays["y_true"], arrays["y_hat"], [0.1, 0.2, 0.3])
+
+
+class TestEvaluationReport:
+    def test_rho_is_over_every_record_and_the_pairs_are_a_seeded_subsample(self):
+        rng = np.random.default_rng(0)
+        y, y_hat = rng.normal(size=(2, 200))
+        scale = np.abs(y - y_hat) * rng.uniform(0.2, 5.0, size=200)  # noisy in the error, so rho < 1
+        table = {("dense_heteroscedastic", 5): ("h.ckpt.json", y_hat, {"predicted_scale": scale})}
+        _, _, (row, seed, rho, pairs) = evaluation_report(y, table, rng.uniform(size=200), 10, 20)
+        assert (row, seed) == ("dense_heteroscedastic+predicted_scale", 5)
+        every_rho, every_pair = error_score_correlation(make_records(y, y_hat, scale))
+        assert rho == every_rho
+        pick = np.sort(np.random.default_rng(5).choice(200, 20, replace=False))
+        np.testing.assert_array_equal(pairs, every_pair[pick])
+
+    def test_every_number_comes_without_touching_a_file(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the report touched a file")
+        monkeypatch.setattr(builtins, "open", refuse)
+        monkeypatch.setattr(os, "makedirs", refuse)
+        rng = np.random.default_rng(1)
+        y, shared = rng.normal(size=8), rng.uniform(size=8)
+        forecasts = {seed: rng.normal(size=8) for seed in (2, 1, 0)}
+        scales = {seed: rng.uniform(0.5, 2.0, size=8) for seed in (2, 1)}
+        table = {("dense_heteroscedastic", seed): (f"{seed}.ckpt.json", forecasts[seed],
+                                                   {"predicted_scale": scales[seed]}) for seed in (2, 1)}
+        table["baseline_mean", 0] = "data.csv", forecasts[0], {}
+        rows, curves, scatter = evaluation_report(y, table, shared, 5, 100)
+        views = {"dense_heteroscedastic+predicted_scale": ([1, 2], lambda seed: scales[seed]),
+                 "dense_heteroscedastic+input_variance": ([1, 2], lambda seed: shared),
+                 "baseline_mean+input_variance": ([0], lambda seed: shared)}
+        assert list(rows) == list(views)
+        for name, (seeds, score_of) in views.items():
+            readouts = [list(keep_grid_readout(make_records(y, forecasts[s], score_of(s))).values()) for s in seeds]
+            assert rows[name][0] == seeds
+            np.testing.assert_array_equal(rows[name][1], np.array(readouts))
+        assert set(curves) == {
+            "curve_dense_heteroscedastic+predicted_scale_seed1.csv",
+            "curve_dense_heteroscedastic+predicted_scale_seed2.csv",
+            "curve_dense_heteroscedastic+input_variance_seed1.csv",
+            "curve_dense_heteroscedastic+input_variance_seed2.csv",
+            "curve_baseline_mean+input_variance.csv",
+        }
+        assert scatter[:2] == ("dense_heteroscedastic+predicted_scale", 1)
+        # seed 2's errors sum past float64's range, so the row's mean MAE is not finite: seed 2 is blamed
+        table["dense_heteroscedastic", 2] = "2.ckpt.json", np.full(8, 1.5e308), {"predicted_scale": scales[2]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^2\.ckpt\.json: mean absolute error of "
+                                                 r"dense_heteroscedastic\+predicted_scale seed 2 is not finite$"):
+                evaluation_report(y, table, shared, 5, 100)
 
 
 class TestFileFormats:
