@@ -7,15 +7,12 @@ optimum). The scale ``b`` must stay positive, which is enforced by
 ``elu_plus_one`` followed by a small floor.
 
 Every function here accepts either plain numpy arrays (returning floats/
-arrays) or autodiff tensors (returning tensors), each by one formula
-except ``elu_plus_one`` below zero: ``exp(x)`` on arrays, ``expm1(x) + 1``
-on tensors, which ``predict`` runs too. At x = -30 they give 9.3576e-14 and
-9.3592e-14, and the tensor form is exactly 0.0 below about -37;
-``DEFAULT_SCALE_FLOOR`` hides the difference in every model scale. On tensors
-each function is one tape op whose forward and vector-Jacobian product do
-the float operations of the equivalent chain of elementwise tape ops, so
-its values and gradients equal that chain's bit for bit. All are pure
-functions and safe for concurrent use.
+arrays) or autodiff tensors (returning tensors), and computes the same
+bits on both by one formula. On tensors each function is one tape op
+whose forward and vector-Jacobian product do the float operations of the
+equivalent chain of elementwise tape ops, so its values and gradients
+equal that chain's bit for bit. All are pure functions and safe for
+concurrent use.
 """
 
 from __future__ import annotations
@@ -47,18 +44,16 @@ def _check_shapes(name: str, targets, preds, scales=None) -> None:
 def elu_plus_one(x):
     """Map an unconstrained value to a positive scale: e^x for x < 0, x + 1 for x >= 0.
 
-    ELU plus one, continuous and monotone increasing.
+    ELU plus one, continuous and monotone increasing. e^x is taken directly
+    rather than as (e^x - 1) + 1, which cancels to exactly 0.0 once e^x drops
+    below float64 epsilon; e^x stays positive down to x = -745.
     """
-    if isinstance(x, Tensor):
-        # the tape chain elu(x) + 1.0 as one op
-        neg = x.data < 0.0
-        elu = np.where(neg, np.expm1(np.minimum(x.data, 0.0)), x.data)
-        return _record_op((x,), elu + 1.0, lambda g: (g * np.where(neg, elu + 1.0, 1.0),))
-    x = np.asarray(x, dtype=np.float64)
-    # (e^x - 1) + 1 written as e^x: the naive form cancels to exactly 0.0 once
-    # e^x drops below float64 epsilon, while e^x stays positive down to x = -745
-    out = np.where(x < 0.0, np.exp(np.minimum(x, 0.0)), x + 1.0)
-    return float(out) if out.ndim == 0 else out
+    d = as_tensor(x).data
+    neg = d < 0.0
+    out = np.where(neg, np.exp(np.minimum(d, 0.0)), d + 1.0)
+    if not _is_tensor(x):
+        return float(out) if out.ndim == 0 else out
+    return _record_op((x,), out, lambda g: (g * np.where(neg, out, 1.0),))
 
 
 def laplace_nll(targets, mus, scales):

@@ -6,8 +6,10 @@ and ``/``, plus the ``affine``/``sigmoid``/``tanh``/``+``/``*`` that
 ``LstmCell.step`` composes. The tests check those fused ops against
 chains of the plain ops below, and reduce outputs to a scalar loss with
 ``sum``/``mean``. Each is one op on ``_record_op``, the same primitive
-the package's ops use. ``abs`` and ``sum`` shadow the builtins, so import
-the module (``import reference_ops as ops``), not the names.
+the package's ops use, except ``elu_plus_one``: the chain of ``exp`` and
+``where`` that the package's ``elu_plus_one`` fuses. ``abs`` and ``sum``
+shadow the builtins, so import the module (``import reference_ops as
+ops``), not the names.
 """
 
 import numpy as np
@@ -30,12 +32,27 @@ def relu(x: Tensor) -> Tensor:
     return _record_op((x,), np.maximum(d, 0.0), lambda g: (g * (d > 0.0),))
 
 
-def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
-    d = x.data
-    neg = d < 0.0
-    out = np.where(neg, alpha * np.expm1(d), d)
-    # d/dx alpha*(e^x - 1) = alpha*e^x = out + alpha on the negative branch
-    return _record_op((x,), out, lambda g: (g * np.where(neg, out + alpha, 1.0),))
+def exp(x: Tensor) -> Tensor:
+    out = np.exp(x.data)
+    return _record_op((x,), out, lambda g: (g * out,))
+
+
+def where(mask: np.ndarray, a, b) -> Tensor:
+    """``a`` where ``mask`` holds, else ``b``; the gradient goes to the side that was picked."""
+    a, b = as_tensor(a), as_tensor(b)
+    sa, sb = a.data.shape, b.data.shape
+    return _record_op(
+        (a, b),
+        np.where(mask, a.data, b.data),
+        lambda g: (_unbroadcast(g * mask, sa), _unbroadcast(g * ~mask, sb)),
+    )
+
+
+def elu_plus_one(x: Tensor) -> Tensor:
+    """The chain the package's ``elu_plus_one`` fuses: e^x below zero, x + 1 elsewhere."""
+    neg = x.data < 0.0
+    # e^min(x, 0), so the branch not taken cannot overflow
+    return where(neg, exp(where(neg, x, 0.0)), x + 1.0)
 
 
 def log(x: Tensor) -> Tensor:

@@ -63,10 +63,6 @@ def reference_mae(targets: Tensor, preds: Tensor) -> Tensor:
     return ops.mean(ops.abs(ops.sub(targets, preds)))
 
 
-def reference_elu_plus_one(x: Tensor) -> Tensor:
-    return ops.elu(x) + 1.0
-
-
 def reference_batch_loss(model, x, y, training: bool, rng) -> Tensor:
     mu = reference_tower(model.forecast_tower, x, model.spec.dropout_p if training else 0.0, rng)
     targets = Tensor(y[:, None])
@@ -76,7 +72,7 @@ def reference_batch_loss(model, x, y, training: bool, rng) -> Tensor:
         pre = reference_tower(model.scale_tower, x)
     else:
         return reference_mae(targets, mu)
-    scales = reference_elu_plus_one(pre).clip_min(DEFAULT_SCALE_FLOOR)
+    scales = ops.elu_plus_one(pre).clip_min(DEFAULT_SCALE_FLOOR)
     return reference_laplace_nll(targets, mu, scales) / float(len(y))
 
 
@@ -181,7 +177,7 @@ def check_training_steps(spec: ModelSpec):
     assert np.array_equal(mu, reference_tower(ref.forecast_tower, x_val).data.ravel())
     if uncertainty == "heteroscedastic":
         pre = reference_tower(ref.scale_tower, x_val)
-        ref_scale = reference_elu_plus_one(pre).clip_min(DEFAULT_SCALE_FLOOR).data.ravel()
+        ref_scale = ops.elu_plus_one(pre).clip_min(DEFAULT_SCALE_FLOOR).data.ravel()
         assert np.array_equal(scale, ref_scale)
     if dropout_p > 0.0:
         mean, std = mc_dropout_predict(fused, x_val, n_samples=5, seed=9)
@@ -304,7 +300,7 @@ def test_mae_and_elu_plus_one_match_the_tape_chain():
         loss = mae_loss(y, pred) + ops.sum(elu_plus_one(pre) * pred)
         grads = tape.gradients(loss, [y, pred, pre])
     with GradientTape() as tape:
-        ref = reference_mae(y, pred) + ops.sum(reference_elu_plus_one(pre) * pred)
+        ref = reference_mae(y, pred) + ops.sum(ops.elu_plus_one(pre) * pred)
         ref_grads = tape.gradients(ref, [y, pred, pre])
     assert np.array_equal(loss.data, ref.data)
     for p in (y, pred, pre):

@@ -42,11 +42,11 @@ RUN = {
 
 GOLDEN = {
     "ckpt/dense_heteroscedastic_seed0.ckpt.json":
-        "a84109f0e8c7d1493141210ea386050d19573efac8ac47fa7bb880f67f5c8593",
+        "674b8b12001eda0c1455cfa7cc2ff787a0d74a4152eb185b2c7783d500efa46f",
     "ckpt/dense_heteroscedastic_seed0.history.json":
-        "ad3377daee6fc401d9273496fa4548577348ba833cabca72b15d3e6805fa1c54",
+        "926fa1cc227a64c312b2516ae2c62f8683b90669cc32ee31b5ae7daddb43635c",
     "ckpt/dense_heteroscedastic_seed1.ckpt.json":
-        "c3820f97b602a410da0b409d826ded2797ad5182f9e59bae15cd756ef85a2ce6",
+        "a41b75796f751af0f24db741428274c84ccfd8e9220f2578dfaa5424adfb9dd9",
     "ckpt/dense_heteroscedastic_seed1.history.json":
         "83538096b96e21192c7da02c299cbede61b416333e17bb1ce5c15c9c8411a968",
     "ckpt/dense_homoscedastic_seed0.ckpt.json":
@@ -88,11 +88,11 @@ GOLDEN = {
     "eval/curve_baseline_zero+input_variance.csv":
         "ede149355df2c5f5d374ee817a9800e767bf2ec215a57607c427bfda66152c4d",
     "eval/curve_dense_heteroscedastic+input_variance_seed0.csv":
-        "e1598d40196e61daad712e3702ad70e0aad9336572e015f8f3ecc43286da124f",
+        "d3492ec1cbef60027d633b739373453e5567686c91ffbb175031817cfe3e1366",
     "eval/curve_dense_heteroscedastic+input_variance_seed1.csv":
         "b56a720e54a6e3ae2e7e0da1217fb049884ba2faf6e320a57b3c6bc53b8f7432",
     "eval/curve_dense_heteroscedastic+predicted_scale_seed0.csv":
-        "c4a5757d0ba155f2c6ffadc6b0631ab9af124e9547c9af631c0cbd4ed9762134",
+        "455d483370b9ca06219b48a39ecd7821aa0638b8b6f06e136cb2ed47d754acd3",
     "eval/curve_dense_heteroscedastic+predicted_scale_seed1.csv":
         "f52ee1403f6fde4ad71881a774e87596a448be8c39ab1d2fdd7757e72cc81ce4",
     "eval/curve_dense_homoscedastic+input_variance_seed0.csv":
@@ -112,9 +112,9 @@ GOLDEN = {
     "eval/curve_dense_point+input_variance_seed1.csv":
         "546d1bf139c603150f2c695e07e952be92d9eb5cde47ca9af0038942548ecc7e",
     "eval/matrix.json":
-        "1a7487c40bc18a13e8a8d3c452b0e2db0f54145cf07952c88a1ebebc9b879b98",
+        "20d2bc42d9f20d04b40338fa1a34512314ac4541f45a99a07302f378e2442ab0",
     "eval/scatter.csv":
-        "3f310ac2e020f4498f24feb6a746f80fb8e44e33f72a3f114f7d3e5d7545deec",
+        "c056d7a6088c4b45923f333d2594452ae45f8cc8b176463968e4863536452cf8",
 }
 
 LSTM_RUN = {
@@ -129,9 +129,9 @@ LSTM_RUN = {
 
 LSTM_GOLDEN = {
     "lstm_ckpt/lstm_heteroscedastic_seed0.ckpt.json":
-        "c12a6c68e203f16388b7e2d7f1f4884a4f98d7c304ac99b99aa41deab89ad680",
+        "5bc2932457fd88c514ec4101e0dbb854d00fe5ba5af4da320b0a723e7d772a31",
     "lstm_ckpt/lstm_heteroscedastic_seed0.history.json":
-        "982bd1f8c563bdca553f3531d8a9181b926552f9bfa659432eb6e2cf29cd4b95",
+        "8aff28e90611690c1546cfa2d6423152e6cdd42eed0ba7aa27566634ec3dc1b0",
     "lstm_ckpt/lstm_mc_dropout_seed0.ckpt.json":
         "8e2df4a7f092096a0c7fcdf736f5b0105d54ab970778e3a56b54ab19c986a84e",
     "lstm_ckpt/lstm_mc_dropout_seed0.history.json":
@@ -145,7 +145,7 @@ LSTM_GOLDEN = {
     "lstm_eval/curve_lstm_heteroscedastic+input_variance_seed0.csv":
         "4f250eb2b6ce421c44f5ca30a5a645e9525e2dcb8bf7f5ac8be481f7ee89900f",
     "lstm_eval/curve_lstm_heteroscedastic+predicted_scale_seed0.csv":
-        "9e29ab13baa8f23c011e7c000ce62024946cfca13232301e7bea4ee6a0b33228",
+        "aa0c9bb31da6d4c37afc1cbba8b472cfc19110d4d47f408c45ff276095eb2906",
     "lstm_eval/curve_lstm_mc_dropout+input_variance_seed0.csv":
         "a14d069b6fc851ae0e0b096f96ad9207818d505a6d9945a5a76bf7a3b5188c42",
     "lstm_eval/curve_lstm_mc_dropout+mc_std_seed0.csv":
@@ -153,7 +153,7 @@ LSTM_GOLDEN = {
     "lstm_eval/matrix.json":
         "63ffbdd6a89c0141236edd94339721ebff455ecd4a03687f4b987ba0f8d99e56",
     "lstm_eval/scatter.csv":
-        "3dac73bac34a898684cf56f0a0e10e8bce94e11750d00c2a956a7d2388b07c05",
+        "e2dc0990b33d0b6d8fc734c188c484aa41a948dc4216b574a560d2a30ae03ce7",
 }
 
 

@@ -7,11 +7,13 @@ import pytest
 from scipy.integrate import quad
 
 from forecast_uq.losses import (
+    DEFAULT_SCALE_FLOOR,
     elu_plus_one,
     laplace_likelihood,
     laplace_nll,
     mae_loss,
 )
+from forecast_uq.models import ModelSpec, build, predict
 from forecast_uq.nn.tensor import GradientTape, Tensor
 
 import reference_ops as ops
@@ -67,6 +69,36 @@ class TestEluPlusOne:
             total = ops.sum(out)
         np.testing.assert_array_equal(out.data, [[math.exp(-1.0), 801.0]])
         np.testing.assert_array_equal(tape.gradients(total, [x])[x], [[math.exp(-1.0), 1.0]])
+
+
+def test_arrays_constant_tensors_and_the_tape_give_the_same_bits():
+    # below about -37.4, (e^x - 1) + 1 is exactly 0.0 while e^x is not
+    x = np.array([-745.0, -100.0, -40.0, -37.5, -30.0, -20.0, -2.5, -1.0, -1e-12, 0.0, 1e-12, 3.0])
+    on_array = elu_plus_one(x)
+    assert np.all(on_array > 0.0)
+    assert on_array.tobytes() == elu_plus_one(Tensor(x)).data.tobytes()
+    pre = Tensor(x, requires_grad=True)
+    with GradientTape() as tape:
+        taped = elu_plus_one(pre)
+        grad = tape.gradients(ops.sum(taped), [pre])[pre]
+    assert taped.data.tobytes() == on_array.tobytes()
+    neg = x < 0.0
+    assert grad[neg].tobytes() == on_array[neg].tobytes()
+    assert np.all(grad[~neg] == 1.0)
+
+    # predict's shared scale is the array formula, floored
+    model = build(ModelSpec.default("dense", "homoscedastic", 14, desk=True), seed=0)
+    rows = np.random.default_rng(0).normal(size=(3, 14))
+    for v in (-2.5, 0.0, 2.0):
+        model.scale_pre.data[...] = v
+        _, scale = predict(model, rows)
+        assert np.all(scale == max(elu_plus_one(v), DEFAULT_SCALE_FLOOR)), v
+
+    rng = np.random.default_rng(8)
+    y, mu, b = rng.normal(size=(3, 7, 1))
+    b = elu_plus_one(b)
+    assert laplace_nll(y, mu, b) == laplace_nll(Tensor(y), Tensor(mu), Tensor(b)).data
+    assert mae_loss(y, mu) == mae_loss(Tensor(y), Tensor(mu, requires_grad=True)).data
 
 
 class TestLaplaceNll:
@@ -151,7 +183,7 @@ class TestLaplaceNll:
         pre = Tensor(rng.normal(size=(10, 1)), requires_grad=True)
 
         def loss():
-            scales = (ops.elu(pre) + 1.0).clip_min(1e-3)
+            scales = ops.elu_plus_one(pre).clip_min(1e-3)
             return laplace_nll(y, mus, scales)
 
         check_gradient(loss, [mus, pre], rtol=1e-6)

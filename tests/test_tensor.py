@@ -47,8 +47,8 @@ class TestElementwiseOps:
             lambda t: ops.sum(ops.relu(t)),
             lambda t: ops.sum(t.sigmoid()),
             lambda t: ops.sum(t.tanh()),
-            lambda t: ops.sum(ops.elu(t, 1.0)),
-            lambda t: ops.sum(ops.elu(t, 0.7)),
+            lambda t: ops.sum(ops.exp(t)),
+            lambda t: ops.sum(ops.elu_plus_one(t)),
             lambda t: ops.sum(ops.abs(t)),
             lambda t: ops.mean(t),
             lambda t: ops.sum(t.clip_min(0.1)),
