@@ -138,12 +138,17 @@ def _checkpoint_stem(spec: ModelSpec, seed: int) -> str:
 
 def _train_job(spec: ModelSpec, config: TrainConfig, data_path, out_dir) -> str:
     """One (model, seed) training run; module-level so jobs can fork."""
-    dataset = make_dataset(read_series_csv(data_path))
-    model = build(spec, seed=config.seed)
-    model, history = train(model, dataset, config)
     stem = _checkpoint_stem(spec, config.seed)
-    save_checkpoint(model, os.path.join(out_dir, stem + ".ckpt.json"), config)
-    write_json(os.path.join(out_dir, stem + ".history.json"), {"schema_version": 1, **history})
+    try:  # a grid's one error line names the job that failed
+        dataset = make_dataset(read_series_csv(data_path))
+        model = build(spec, seed=config.seed)
+        model, history = train(model, dataset, config)
+        save_checkpoint(model, os.path.join(out_dir, stem + ".ckpt.json"), config)
+        write_json(os.path.join(out_dir, stem + ".history.json"), {"schema_version": 1, **history})
+    except TrainingError as exc:
+        raise TrainingError(f"{stem}: {exc}") from None
+    except ValueError as exc:  # ConfigError and ShapeError too, which main prints alike
+        raise ValueError(f"{stem}: {exc}") from None
     return stem
 
 

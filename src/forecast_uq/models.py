@@ -375,6 +375,7 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[Model, d
 
     Returns the model carrying the best-validation-epoch parameters and
     a history dict with per-epoch mean losses (per-sample scale).
+    A non-finite number ends training as a ``TrainingError`` naming the epoch, without numpy warnings.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
@@ -396,36 +397,37 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> tuple[Model, d
     best_state = optimizer.flat.copy()  # every parameter is a view into this buffer
     history = {"train_loss": [], "validation_loss": []}
 
-    for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(n)
-        epoch_total = 0.0
-        for batch_index, start in enumerate(range(0, n, config.batch_size)):
-            rows = order[start : start + config.batch_size]
-            with GradientTape() as tape:
-                loss = _batch_loss(model, x_train[rows], y_train[rows], True, rng)
-            loss_value = float(loss.data)
-            if not np.isfinite(loss_value):
-                raise TrainingError(
-                    f"non-finite training loss at epoch {epoch}, batch {batch_index}"
-                )
-            try:
-                optimizer.step(tape.gradients(loss, values))
-            except TrainingError as exc:
-                raise TrainingError(f"epoch {epoch}, batch {batch_index}: {exc}") from None
-            epoch_total += loss_value * len(rows)
-        history["train_loss"].append(epoch_total / n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the checks below name a non-finite number
+        for epoch in range(1, config.max_epochs + 1):
+            order = rng.permutation(n)
+            epoch_total = 0.0
+            for batch_index, start in enumerate(range(0, n, config.batch_size)):
+                rows = order[start : start + config.batch_size]
+                with GradientTape() as tape:
+                    loss = _batch_loss(model, x_train[rows], y_train[rows], True, rng)
+                loss_value = float(loss.data)
+                if not np.isfinite(loss_value):
+                    raise TrainingError(
+                        f"non-finite training loss at epoch {epoch}, batch {batch_index}"
+                    )
+                try:
+                    optimizer.step(tape.gradients(loss, values))
+                except TrainingError as exc:
+                    raise TrainingError(f"epoch {epoch}, batch {batch_index}: {exc}") from None
+                epoch_total += loss_value * len(rows)
+            history["train_loss"].append(epoch_total / n)
 
-        val_loss = float(_batch_loss(model, x_val, y_val, False, None).data)
-        if not np.isfinite(val_loss):
-            raise TrainingError(f"non-finite validation loss at epoch {epoch}")
-        history["validation_loss"].append(val_loss)
+            val_loss = float(_batch_loss(model, x_val, y_val, False, None).data)
+            if not np.isfinite(val_loss):
+                raise TrainingError(f"non-finite validation loss at epoch {epoch}")
+            history["validation_loss"].append(val_loss)
 
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best_state = optimizer.flat.copy()
-        elif epoch - best_epoch >= config.patience:
-            break
+            if val_loss < best_val:
+                best_val = val_loss
+                best_epoch = epoch
+                best_state = optimizer.flat.copy()
+            elif epoch - best_epoch >= config.patience:
+                break
 
     optimizer.flat[...] = best_state
     history["best_epoch"] = best_epoch

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..exceptions import ShapeError
-from .tensor import Tensor, _record_op, affine, as_tensor, concat, will_record
+from .tensor import Tensor, _record_op, _sigmoid, affine, as_tensor, concat, will_record
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -232,13 +232,7 @@ class LstmCell:
             hx[:, hid:] = x.data[t]
             np.matmul(hx, w_gates, out=a)
             a += b_gates
-            # 1 / (1 + exp(-s)) in place: Tensor.sigmoid's bits without three
-            # gate-sized temporaries, which cost page faults at inference batch sizes
-            s = a[:3]
-            np.negative(s, out=s)
-            np.exp(s, out=s)
-            s += 1.0
-            np.divide(1.0, s, out=s)
+            _sigmoid(a[:3], out=a[:3])  # in place: no gate-sized temporaries to page-fault
             np.tanh(a[3], out=a[3])
             f, i, o, g = a
             np.multiply(f, c_prev, out=c)

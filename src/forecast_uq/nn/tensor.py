@@ -72,7 +72,7 @@ class Tensor:
     # elementwise functions ------------------------------------------------
 
     def sigmoid(self) -> "Tensor":
-        out = 1.0 / (1.0 + np.exp(-self.data))
+        out = _sigmoid(self.data)
         return _record_op((self,), out, lambda g: (g * out * (1.0 - out),))
 
     def tanh(self) -> "Tensor":
@@ -82,6 +82,14 @@ class Tensor:
     def clip_min(self, floor: float) -> "Tensor":
         x = self.data
         return _record_op((self,), np.maximum(x, floor), lambda g: (g * (x > floor),))
+
+
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)), written into ``out`` when it is given: the package's one sigmoid."""
+    out = np.negative(x, out=out)
+    with np.errstate(over="ignore"):  # inf below x ~ -709, where 1 / (1 + inf) = 0.0 is the exact limit
+        np.exp(out, out=out)
+    return np.divide(1.0, np.add(out, 1.0, out=out), out=out)
 
 
 def as_tensor(value) -> Tensor:

@@ -780,6 +780,66 @@ def test_jobs_is_a_train_only_flag(argv, tmp_path, capsys):
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+# -- train's numeric boundary ----------------------------------------------------
+
+# learning rate 30 drives LSTM gate pre-activations below -709, where exp(-a) overflows
+SATURATING_LSTM = {"models": [{"backbone": "lstm", "uncertainty": "point"}],
+                   "train": {"max_epochs": 2, "patience": 2, "learning_rate": 30.0}, "seeds": [0], "desk": True}
+
+
+def _diverging(*uncertainties):
+    """A desk dense grid whose learning rate overflows every weight in the first epoch."""
+    return {"models": [{"backbone": "dense", "uncertainty": u} for u in uncertainties],
+            "train": {"max_epochs": 3, "patience": 3, "learning_rate": 1e200}, "seeds": [0], "desk": True}
+
+
+@pytest.fixture(scope="module")
+def boundary_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("boundary")
+    config, data = root / "generator.json", root / "data.csv"
+    config.write_text(json.dumps({"families": {"periodic": 50, "spikes": 50, "trend": 50, "noise": 50},
+                                  "series_length": 12, "seed": 0}))
+    assert main(["generate", "--config", str(config), "--out", str(data)]) == 0
+    return data
+
+
+def _train_argv(run, data, tmp_path, *extra):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(run))
+    return ["train", "--config", str(config), "--data", str(data), "--out", str(tmp_path / "ckpts"), *extra]
+
+
+def test_saturating_lstm_gates_train_without_a_warning(boundary_data, tmp_path, capsys):
+    assert main(_train_argv(SATURATING_LSTM, boundary_data, tmp_path)) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("uncertainties, jobs, stem", [
+    (("heteroscedastic",), "1", "dense_heteroscedastic_seed0"),
+    (("point", "heteroscedastic"), "2", "dense_point_seed0"),  # the first failing job in grid order
+], ids=["serial", "two-jobs"])
+def test_a_diverged_job_gives_one_line_naming_it(uncertainties, jobs, stem, boundary_data, tmp_path,
+                                                  capsys):
+    argv = _train_argv(_diverging(*uncertainties), boundary_data, tmp_path, "--jobs", jobs)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {stem}: non-finite validation loss at epoch 1\n"
+
+
+def test_train_boundary_under_w_error(boundary_data, tmp_path):
+    # the console path with every warning an error, forked workers included
+    cases = [(SATURATING_LSTM, (), 0, ""),
+             (_diverging("point", "heteroscedastic"), ("--jobs", "2"), 1,
+              "error: dense_point_seed0: non-finite validation loss at epoch 1\n")]
+    for index, (run, extra, code, err) in enumerate(cases):
+        job = tmp_path / str(index)
+        job.mkdir()
+        argv = _train_argv(run, boundary_data, job, *extra)
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "forecast_uq.cli", *argv],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert (done.returncode, done.stderr) == (code, err)
+
+
 # -- BLAS threads ---------------------------------------------------------------
 
 SRC = str(Path(forecast_uq.__file__).parents[1])

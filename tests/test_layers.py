@@ -7,7 +7,7 @@ import pytest
 
 from forecast_uq.exceptions import ShapeError
 from forecast_uq.nn.layers import DenseLayer, LstmCell
-from forecast_uq.nn.tensor import GradientTape, Tensor
+from forecast_uq.nn.tensor import GradientTape, Tensor, affine
 
 import reference_ops as ops
 from test_tensor import check_gradient
@@ -229,6 +229,26 @@ class TestLstmCell:
         cell = LstmCell.create(2, 4, np.random.default_rng(5))
         np.testing.assert_allclose(cell.b_f.data, np.ones(4))
         np.testing.assert_allclose(cell.b_i.data, np.zeros(4))
+
+    def test_saturated_forget_gate_is_exactly_zero_without_a_warning(self):
+        # b_f = -1000 overflows exp(-a) to inf; the gate is then its exact limit 0.0
+        cell = LstmCell.create(1, 2, np.random.default_rng(7))
+        cell.b_f.data[:] = -1000.0
+        x = np.ones((3, 4, 1))
+        assert np.isfinite(cell.run(x, return_sequence=True).data).all()
+        params = list(cell.parameters().values())
+        with GradientTape() as tape:
+            loss = ops.sum(cell.run(Tensor(x), return_sequence=True))
+        grads = tape.gradients(loss, params)
+        assert all(np.isfinite(grads[p]).all() for p in params)
+        assert not grads[cell.b_f].any()  # f * (1 - f) = 0
+        # a huge previous cell state is forgotten exactly: c = f * c_prev + i * g = i * g
+        h_prev, x_t = np.zeros((4, 2)), x[0]
+        _, c = cell.step(h_prev, np.full((4, 2), 1e300), x_t)
+        hx = Tensor(np.concatenate([h_prev, x_t], axis=1))
+        i = affine(hx, cell.w_i, cell.b_i).sigmoid().data
+        g = affine(hx, cell.w_c, cell.b_c).tanh().data
+        assert c.data.tobytes() == (i * g).tobytes()
 
     def test_shape_mismatch_raises(self):
         cell = LstmCell.create(2, 3, np.random.default_rng(6))

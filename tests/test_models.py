@@ -186,6 +186,14 @@ class TestPredict:
         second, _ = predict(model, x)
         assert np.array_equal(first, second)
 
+    def test_saturated_lstm_forget_gates_predict_without_a_warning(self):
+        model = build(ModelSpec.default("lstm", "point", 14, desk=True), seed=0)
+        for name, p in model.parameters().items():
+            if name.endswith(".b_f"):
+                p.data[:] = -1000.0
+        y_hat, _ = predict(model, tiny_dataset(20).x)
+        assert np.isfinite(y_hat).all()
+
     def test_shape_mismatch_rejected(self):
         model = build(ModelSpec.default("dense", "point", 14, desk=True), seed=0)
         with pytest.raises(ShapeError):

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from forecast_uq.nn.tensor import GradientTape, Tensor, affine, as_tensor, concat
+from forecast_uq.nn.tensor import GradientTape, Tensor, _sigmoid, affine, as_tensor, concat
 
 import reference_ops as ops
 
@@ -75,6 +75,18 @@ class TestElementwiseOps:
         np.testing.assert_allclose(t.tanh().data, np.tanh(x))
         np.testing.assert_allclose(t.sigmoid().data, 1.0 / (1.0 + np.exp(-x)))
         np.testing.assert_allclose(ops.abs(t).data, np.abs(x))
+
+    def test_sigmoid_saturates_to_its_limits_without_a_warning(self):
+        # exp(1000) overflows to inf, and 1 / (1 + inf) = 0.0 is the exact limit
+        assert Tensor(np.array([-1000.0, 0.0, 1000.0])).sigmoid().data.tolist() == [0.0, 0.5, 1.0]
+
+    def test_one_sigmoid_has_the_formulas_bits_allocating_and_in_place(self):
+        x = np.linspace(-700.0, 700.0, 100_001)
+        expected = (1.0 / (1.0 + np.exp(-x))).tobytes()
+        assert _sigmoid(x).tobytes() == expected
+        buffer = x.copy()
+        assert _sigmoid(buffer, out=buffer) is buffer
+        assert buffer.tobytes() == expected
 
     def test_float64_coercion(self):
         t = Tensor([1, 2, 3])
