@@ -16,6 +16,7 @@ import ctypes
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -136,43 +137,47 @@ def _checkpoint_stem(spec: ModelSpec, seed: int) -> str:
     return f"{spec.backbone}_{spec.uncertainty}_seed{seed}"
 
 
-def _train_job(spec: ModelSpec, config: TrainConfig, data_path, out_dir) -> str:
-    """One (model, seed) training run; module-level so jobs can fork."""
+def _train_job(spec: ModelSpec, config: TrainConfig, data_path):
+    """One (model, seed) training run, module-level so jobs can fork; returns ``(model, history)``, writes nothing."""
     stem = _checkpoint_stem(spec, config.seed)
     try:  # a grid's one error line names the job that failed
         dataset = make_dataset(read_series_csv(data_path))
-        model = build(spec, seed=config.seed)
-        model, history = train(model, dataset, config)
-        save_checkpoint(model, os.path.join(out_dir, stem + ".ckpt.json"), config)
-        write_json(os.path.join(out_dir, stem + ".history.json"), {"schema_version": 1, **history})
+        return train(build(spec, seed=config.seed), dataset, config)
     except TrainingError as exc:
         raise TrainingError(f"{stem}: {exc}") from None
     except ValueError as exc:  # ConfigError and ShapeError too, which main prints alike
         raise ValueError(f"{stem}: {exc}") from None
-    return stem
 
 
 def cmd_train(run: RunConfig, data_path, out_dir, jobs: int = 1) -> list[str]:
+    """Train every (model, seed) job, then create ``out_dir`` and write each job's checkpoint and history.
+
+    Returns the checkpoint stems in grid order. Only this function writes: a
+    failed job, or a ``--jobs`` worker that ends without a result, raises
+    before ``out_dir`` is created, so an existing ``out_dir`` keeps its files.
+    """
     if len(series := read_series_csv(data_path)) < 2:  # the fewest data.split divides in two
         raise ConfigError(f"{data_path}: {len(series)} series, train needs at least 2")
     input_dim = series.length + 2
     grid = run.models or tuple((b, u) for b in BACKBONES for u in UNCERTAINTIES)
-    os.makedirs(out_dir, exist_ok=True)
+    specs = [ModelSpec.default(b, u, input_dim, desk=run.desk) for b, u in grid for _ in run.seeds]
+    configs = [replace(run.train, seed=seed) for _ in grid for seed in run.seeds]
 
-    job_args = []
-    for backbone, uncertainty in grid:
-        spec = ModelSpec.default(backbone, uncertainty, input_dim, desk=run.desk)
-        for seed in run.seeds:
-            config = replace(run.train, seed=seed)
-            job_args.append((spec, config, str(data_path), str(out_dir)))
-
-    stems = []
     # a fork pool starts every worker up front, so never ask for idle ones
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(job_args))) if jobs > 1 else None
-    with pool or contextlib.nullcontext():
-        for stem in (pool.map if pool else map)(_train_job, *zip(*job_args)):
-            stems.append(stem)
-            print(f"trained {stem}")
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(specs))) if jobs > 1 else None
+    try:
+        with pool or contextlib.nullcontext():
+            results = list((pool.map if pool else map)(_train_job, specs, configs, [str(data_path)] * len(specs)))
+    except BrokenProcessPool:
+        raise TrainingError("a --jobs worker ended without a result (killed, or out of memory)") from None
+
+    os.makedirs(out_dir, exist_ok=True)
+    stems = []
+    for spec, config, (model, history) in zip(specs, configs, results):
+        stems.append(stem := _checkpoint_stem(spec, config.seed))
+        save_checkpoint(model, os.path.join(out_dir, stem + ".ckpt.json"), config)
+        write_json(os.path.join(out_dir, stem + ".history.json"), {"schema_version": 1, **history})
+        print(f"trained {stem}")
     return stems
 
 

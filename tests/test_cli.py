@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -838,6 +839,64 @@ def test_train_boundary_under_w_error(boundary_data, tmp_path):
                               capture_output=True, text=True, timeout=300,
                               env={**os.environ, "PYTHONPATH": SRC})
         assert (done.returncode, done.stderr) == (code, err)
+        assert (job / "ckpts").exists() == (code == 0)  # a failed grid creates no --out
+
+
+# every heteroscedastic job trains; at learning rate 1e101 dense_point_seed0 overflows in its second epoch
+GRID = {"models": [{"backbone": "dense", "uncertainty": "heteroscedastic"},
+                   {"backbone": "dense", "uncertainty": "point"}],
+        "train": {"max_epochs": 3, "patience": 3}, "seeds": [0, 1], "desk": True}
+FAILING_GRID = {**GRID, "train": {**GRID["train"], "learning_rate": 1e101}}
+GRID_LINES = "".join(f"trained dense_{u}_seed{s}\n" for u in ("heteroscedastic", "point") for s in (0, 1))
+DIVERGED = "error: dense_point_seed0: non-finite training loss at epoch 2, batch 0\n"
+
+
+def _train_with_warnings_as_errors(run, data, tmp_path, jobs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(_train_argv(run, data, tmp_path, "--jobs", jobs))
+
+
+def _files(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=["serial", "two-jobs"])
+class TestTrainWritesAfterTheWholeGrid:
+    def test_a_passing_grid_prints_its_stems_in_grid_order(self, jobs, boundary_data, tmp_path, capsys):
+        assert _train_with_warnings_as_errors(GRID, boundary_data, tmp_path, jobs) == 0
+        assert capsys.readouterr() == (GRID_LINES, "")
+        assert len(_files(tmp_path / "ckpts")) == 8
+
+    def test_a_failed_grid_writes_nothing(self, jobs, boundary_data, tmp_path, capsys):
+        assert _train_with_warnings_as_errors(FAILING_GRID, boundary_data, tmp_path, jobs) == 1
+        assert capsys.readouterr() == ("", DIVERGED)
+        assert not (tmp_path / "ckpts").exists()
+
+    def test_a_failed_grid_leaves_a_used_out_as_it_was(self, jobs, boundary_data, tmp_path, capsys):
+        assert _train_with_warnings_as_errors(GRID, boundary_data, tmp_path, jobs) == 0
+        before = _files(tmp_path / "ckpts")
+        capsys.readouterr()
+        assert _train_with_warnings_as_errors(FAILING_GRID, boundary_data, tmp_path, jobs) == 1
+        assert _files(tmp_path / "ckpts") == before
+        assert capsys.readouterr() == ("", DIVERGED)
+
+
+def test_a_killed_jobs_worker_gives_one_line_and_writes_nothing(boundary_data, tmp_path, monkeypatch, capsys):
+    parent, real_train = os.getpid(), cli.train
+
+    def train(model, dataset, config):  # forked workers inherit the patch
+        if config.seed == 1 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_train(model, dataset, config)
+
+    monkeypatch.setattr(cli, "train", train)
+    run = {"models": [{"backbone": "dense", "uncertainty": "point"}],
+           "train": {"max_epochs": 2, "patience": 2}, "seeds": [0, 1], "desk": True}
+    assert _train_with_warnings_as_errors(run, boundary_data, tmp_path, "2") == 1
+    lost = "error: a --jobs worker ended without a result (killed, or out of memory)\n"
+    assert capsys.readouterr() == ("", lost)
+    assert not (tmp_path / "ckpts").exists()
 
 
 # -- BLAS threads ---------------------------------------------------------------
